@@ -40,158 +40,120 @@
 
 use std::time::{Duration, Instant};
 
-/// Deterministic event counters accumulated by a simulation run.
-///
-/// Every field counts events of the deterministic simulation itself, so the
-/// totals are reproducible bit-for-bit (see the module docs). All counts are
-/// contact-level unless noted; Internet synchronisation sessions are not
-/// metered here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Counters {
+/// How a counter combines across merged runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merge {
+    /// Totals add.
+    Sum,
+    /// Residency peaks take the maximum: the sweep-wide figure is the worst
+    /// single run, so it stays independent of `--jobs` and cell count.
+    Max,
+}
+
+impl Merge {
+    fn apply(self, a: u64, b: u64) -> u64 {
+        match self {
+            Merge::Sum => a + b,
+            Merge::Max => a.max(b),
+        }
+    }
+}
+
+/// Declares every counter once — name, doc and [`Merge`] rule — and
+/// generates the [`Counters`] struct, [`Counters::merge`] and
+/// [`Counters::entries`] from that one table.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])* $name:ident: $merge:ident,)*) => {
+        /// Deterministic event counters accumulated by a simulation run.
+        ///
+        /// Every field counts events of the deterministic simulation itself,
+        /// so the totals are reproducible bit-for-bit (see the module docs).
+        /// All counts are contact-level unless noted; Internet
+        /// synchronisation sessions are not metered here.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct Counters {
+            $($(#[doc = $doc])* pub $name: u64,)*
+        }
+
+        impl Counters {
+            /// Number of counters.
+            pub const COUNT: usize = [$(stringify!($name)),*].len();
+
+            /// Adds another counter set into this one, each counter by its
+            /// declared [`Merge`] rule.
+            pub fn merge(&mut self, other: &Counters) {
+                $(self.$name = Merge::$merge.apply(self.$name, other.$name);)*
+            }
+
+            /// Every counter as a `(name, value)` pair, in declaration
+            /// order. The names double as the keys of the perf report's
+            /// `counters` object.
+            pub fn entries(&self) -> [(&'static str, u64); Counters::COUNT] {
+                [$((stringify!($name), self.$name)),*]
+            }
+
+            /// True if every counter is zero (a fresh accumulator).
+            pub fn is_zero(&self) -> bool {
+                *self == Counters::default()
+            }
+        }
+    };
+}
+
+counters! {
     /// Contacts processed (at least two alive participants).
-    pub contacts: u64,
+    contacts: Sum,
     /// Hello beacons exchanged: one per participant per processed contact.
-    pub hello_exchanges: u64,
+    hello_exchanges: Sum,
     /// Contacts that formed a clique of three or more participants.
-    pub clique_formations: u64,
+    clique_formations: Sum,
     /// Broadcast frames transmitted (metadata and file broadcasts).
-    pub frames_sent: u64,
+    frames_sent: Sum,
     /// Receptions dropped by injected frame loss.
-    pub frames_lost: u64,
+    frames_lost: Sum,
     /// Metadata records successfully received and stored (non-duplicate),
     /// including metadata riding along with file broadcasts.
-    pub metadata_transferred: u64,
+    metadata_transferred: Sum,
     /// File pieces successfully received as part of completed file
     /// broadcasts.
-    pub pieces_transferred: u64,
+    pieces_transferred: Sum,
     /// Application bytes successfully moved: metadata wire bytes plus file
     /// content bytes, counted per reception.
-    pub bytes_moved: u64,
+    bytes_moved: Sum,
     /// File receptions discarded by checksum verification after injected
     /// piece corruption.
-    pub corrupt_receptions: u64,
+    corrupt_receptions: Sum,
     /// Hello snapshots whose wanted-URI list was served from the node's
     /// memoized cache (no recomputation). Deterministic: the hit/miss
     /// pattern is a pure function of the event stream.
-    pub wanted_cache_hits: u64,
+    wanted_cache_hits: Sum,
     /// Inverted-index lookups performed to (re)compute wanted-URI lists on
     /// cache misses (one per own query per miss).
-    pub index_lookups: u64,
+    index_lookups: Sum,
     /// On-disk trace shards loaded by streaming replay. Zero for fully
-    /// in-memory runs. Additive on merge: total shard loads across all
-    /// streaming passes.
-    pub shards_loaded: u64,
+    /// in-memory runs.
+    shards_loaded: Sum,
     /// Shards whose decode was started ahead of consumption by pipelined
     /// streaming replay. Zero for in-memory runs and serial streams.
-    /// Additive on merge, like [`Counters::shards_loaded`].
-    pub shards_prefetched: u64,
+    shards_prefetched: Sum,
     /// Peak number of trace contacts resident in memory at once across the
-    /// runs merged so far. Merges by **maximum**, not addition — residency
-    /// is concurrent state, so the sweep-wide figure is the worst single
-    /// run, which keeps the value independent of `--jobs` and cell count.
-    pub peak_resident_contacts: u64,
+    /// runs merged so far.
+    peak_resident_contacts: Max,
     /// Node states materialized by the lazy node arena: one per node that
     /// actually appeared in a contact, an Internet session, or seeded
-    /// content. Additive on merge.
-    pub nodes_instantiated: u64,
+    /// content.
+    nodes_instantiated: Sum,
     /// Peak number of node states resident in the arena at once (lazy
-    /// instantiation minus cold-node eviction). Merges by **maximum**, like
-    /// [`Counters::peak_resident_contacts`].
-    pub peak_resident_nodes: u64,
+    /// instantiation minus cold-node eviction).
+    peak_resident_nodes: Max,
     /// Peak number of evicted (cold) nodes holding residue in the arena's
-    /// residue store at once. Merges by **maximum** — residency, not a
-    /// total.
-    pub peak_residue_nodes: u64,
+    /// residue store at once.
+    peak_residue_nodes: Max,
     /// Estimated peak bytes held by the residue store (packed entries plus
     /// the interned query-text pool). An estimate from data-structure
     /// sizes, but a deterministic one: it is a pure function of the event
-    /// stream. Merges by **maximum**.
-    pub residue_bytes_est: u64,
-}
-
-impl Counters {
-    /// Adds another counter set into this one. Every counter adds except
-    /// [`Counters::peak_resident_contacts`], which takes the maximum.
-    pub fn merge(&mut self, other: &Counters) {
-        self.contacts += other.contacts;
-        self.hello_exchanges += other.hello_exchanges;
-        self.clique_formations += other.clique_formations;
-        self.frames_sent += other.frames_sent;
-        self.frames_lost += other.frames_lost;
-        self.metadata_transferred += other.metadata_transferred;
-        self.pieces_transferred += other.pieces_transferred;
-        self.bytes_moved += other.bytes_moved;
-        self.corrupt_receptions += other.corrupt_receptions;
-        self.wanted_cache_hits += other.wanted_cache_hits;
-        self.index_lookups += other.index_lookups;
-        self.shards_loaded += other.shards_loaded;
-        self.shards_prefetched += other.shards_prefetched;
-        self.peak_resident_contacts = self
-            .peak_resident_contacts
-            .max(other.peak_resident_contacts);
-        self.nodes_instantiated += other.nodes_instantiated;
-        self.peak_resident_nodes = self.peak_resident_nodes.max(other.peak_resident_nodes);
-        self.peak_residue_nodes = self.peak_residue_nodes.max(other.peak_residue_nodes);
-        self.residue_bytes_est = self.residue_bytes_est.max(other.residue_bytes_est);
-    }
-
-    /// True if every counter is zero (the state of a fresh accumulator).
-    pub fn is_zero(&self) -> bool {
-        *self == Counters::default()
-    }
-
-    /// Every counter as a `(name, value)` pair, in a fixed rendering order.
-    /// The names double as the keys of the perf-report JSON schema.
-    pub fn entries(&self) -> [(&'static str, u64); 18] {
-        [
-            ("contacts", self.contacts),
-            ("hello_exchanges", self.hello_exchanges),
-            ("clique_formations", self.clique_formations),
-            ("frames_sent", self.frames_sent),
-            ("frames_lost", self.frames_lost),
-            ("metadata_transferred", self.metadata_transferred),
-            ("pieces_transferred", self.pieces_transferred),
-            ("bytes_moved", self.bytes_moved),
-            ("corrupt_receptions", self.corrupt_receptions),
-            ("wanted_cache_hits", self.wanted_cache_hits),
-            ("index_lookups", self.index_lookups),
-            ("shards_loaded", self.shards_loaded),
-            ("shards_prefetched", self.shards_prefetched),
-            ("peak_resident_contacts", self.peak_resident_contacts),
-            ("nodes_instantiated", self.nodes_instantiated),
-            ("peak_resident_nodes", self.peak_resident_nodes),
-            ("peak_residue_nodes", self.peak_residue_nodes),
-            ("residue_bytes_est", self.residue_bytes_est),
-        ]
-    }
-
-    /// Sets the counter with the given [`Counters::entries`] name. Returns
-    /// false (and changes nothing) for an unknown name — used by the perf
-    /// report parser so new fields stay forward-compatible.
-    pub fn set(&mut self, name: &str, value: u64) -> bool {
-        match name {
-            "contacts" => self.contacts = value,
-            "hello_exchanges" => self.hello_exchanges = value,
-            "clique_formations" => self.clique_formations = value,
-            "frames_sent" => self.frames_sent = value,
-            "frames_lost" => self.frames_lost = value,
-            "metadata_transferred" => self.metadata_transferred = value,
-            "pieces_transferred" => self.pieces_transferred = value,
-            "bytes_moved" => self.bytes_moved = value,
-            "corrupt_receptions" => self.corrupt_receptions = value,
-            "wanted_cache_hits" => self.wanted_cache_hits = value,
-            "index_lookups" => self.index_lookups = value,
-            "shards_loaded" => self.shards_loaded = value,
-            "shards_prefetched" => self.shards_prefetched = value,
-            "peak_resident_contacts" => self.peak_resident_contacts = value,
-            "nodes_instantiated" => self.nodes_instantiated = value,
-            "peak_resident_nodes" => self.peak_resident_nodes = value,
-            "peak_residue_nodes" => self.peak_residue_nodes = value,
-            "residue_bytes_est" => self.residue_bytes_est = value,
-            _ => return false,
-        }
-        true
-    }
+    /// stream.
+    residue_bytes_est: Max,
 }
 
 /// The phases the observability layer times.
@@ -414,17 +376,6 @@ mod tests {
         assert_eq!(a, before);
         assert!(!a.is_zero());
         assert!(Counters::default().is_zero());
-    }
-
-    #[test]
-    fn entries_round_trip_through_set() {
-        let a = distinct_counters();
-        let mut b = Counters::default();
-        for (name, value) in a.entries() {
-            assert!(b.set(name, value), "unknown counter name {name}");
-        }
-        assert_eq!(a, b);
-        assert!(!b.set("not_a_counter", 1));
     }
 
     #[test]

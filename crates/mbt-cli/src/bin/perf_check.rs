@@ -5,10 +5,12 @@
 //! ```
 //!
 //! Exit code 0 when the report is within tolerance, 1 on any violation or
-//! i/o error. Counters must match the baseline exactly (they are a pure
-//! function of the deterministic event stream — drift means behaviour
-//! changed); timings only fail beyond `baseline * (1 + tolerance) +
-//! abs-slack`, and only when both reports used the same `--jobs`.
+//! i/o error. Counters, digests and every other exact key must match the
+//! baseline exactly (they are a pure function of the deterministic event
+//! stream — drift means behaviour changed); timings (phases and `_secs`
+//! keys) only fail beyond `baseline * (1 + tolerance) + abs-slack`, and
+//! only when both reports used the same `--jobs`. See
+//! `mbt_experiments::perf::rule` for the per-key rule.
 //!
 //! Set `UPDATE_BASELINE=1` to overwrite the baseline with the current
 //! report instead of diffing (the committed fixture refresh path, mirroring
@@ -89,8 +91,8 @@ fn run() -> Result<String, String> {
     let errors = compare(&current, &baseline, &opts.tolerance);
     if errors.is_empty() {
         Ok(format!(
-            "perf-check OK: {} vs {} ({} cells, {:.2}s, counters identical)",
-            opts.current, opts.baseline, current.cells, current.wall_secs
+            "perf-check OK: {} vs {} (every exact key identical, timings within tolerance)",
+            opts.current, opts.baseline
         ))
     } else {
         Err(format!(

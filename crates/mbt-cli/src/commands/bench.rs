@@ -2,14 +2,14 @@
 //! a schema-versioned perf report (`BENCH_sweep.json`).
 //!
 //! The report carries the schema tag, `git describe`, wall-clock per phase,
-//! cells/sec throughput, and the deterministic counter totals; `perf-check`
-//! diffs it against the committed baseline in CI.
+//! the deterministic counter totals and one section per bench (cells per
+//! sweep, the server or city results); `perf-check` diffs it against the
+//! committed baseline in CI.
 
 use std::fmt::Write as _;
 
-use dtn_sim::telemetry::{rate_per_sec, Phase};
 use mbt_experiments::perf::{
-    run_bench, run_city_bench_report, run_server_bench_report, BenchReport, CityBenchConfig,
+    rule, run_bench, run_city_bench_report, run_server_bench_report, BenchReport, CityBenchConfig,
     ServerBenchConfig,
 };
 use mbt_experiments::{ExecConfig, Scale};
@@ -92,78 +92,15 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 }
 
 fn render(report: &BenchReport, out_path: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "bench {} ({}) — {} cells in {:.2}s ({:.2} cells/s)",
-        report.scale, report.git, report.cells, report.wall_secs, report.cells_per_sec
+    let mut out = format!(
+        "bench {} ({}), jobs {}, replicates {}\n",
+        report.scale, report.git, report.jobs, report.replicates
     );
-    let _ = writeln!(out, "  sweeps: {}", report.sweeps.join(", "));
-    for phase in Phase::ALL {
-        let span = report.phases.get(phase);
-        let _ = writeln!(
-            out,
-            "  phase {:<20} {:>9.3}s",
-            phase.name(),
-            span.as_secs_f64()
-        );
-    }
-    for (name, value) in report.counters.entries() {
-        // Guarded rate: an empty sweep reports 0, never NaN.
-        let per_cell = if report.cells == 0 {
-            0.0
-        } else {
-            value as f64 / report.cells as f64
-        };
-        let _ = writeln!(
-            out,
-            "  counter {name:<20} {value:>12}  ({per_cell:.1}/cell)"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  throughput {:.2} contacts/s",
-        rate_per_sec(
-            report.counters.contacts,
-            std::time::Duration::from_secs_f64(report.wall_secs.max(0.0)),
-        )
-    );
-    if let Some(sb) = &report.server {
-        let _ = writeln!(
-            out,
-            "  server bench: {} records / {} shards, {} ops in {:.2}s \
-             ({:.0} ops/s, build {:.2}s)",
-            sb.records, sb.shards, sb.ops, sb.run_secs, sb.ops_per_sec, sb.build_secs
-        );
-        let _ = writeln!(
-            out,
-            "    publishes {} searches {} requests {} expired {} hits {}",
-            sb.publishes, sb.searches, sb.requests, sb.expired, sb.hits
-        );
-        let _ = writeln!(out, "    result digest {:#018x}", sb.result_digest);
-    }
-    if let Some(cb) = &report.city {
-        let _ = writeln!(
-            out,
-            "  city bench: {} nodes / {} routes, {} days -> {} contacts in {} shards",
-            cb.nodes, cb.routes, cb.days, cb.contacts, cb.shards
-        );
-        let _ = writeln!(
-            out,
-            "    gen {:.2}s, sim {:.2}s ({:.0} contacts/s, prefetch {})",
-            cb.gen_secs, cb.sim_secs, cb.contacts_per_sec, cb.prefetch
-        );
-        let _ = writeln!(
-            out,
-            "    shards loaded {} prefetched {} peak resident contacts {}",
-            cb.shards_loaded, cb.shards_prefetched, cb.peak_resident_contacts
-        );
-        let _ = writeln!(
-            out,
-            "    residue peak {} nodes (~{} bytes); {} queries, {} files delivered",
-            cb.peak_residue_nodes, cb.residue_bytes_est, cb.queries, cb.files_delivered
-        );
-        let _ = writeln!(out, "    result digest {:#018x}", cb.result_digest);
+    for (name, section) in report.all_sections() {
+        for (key, value) in section.iter() {
+            let path = format!("{name}.{key}");
+            let _ = writeln!(out, "  {path:<36} {}", value.render(rule(name, key)));
+        }
     }
     let _ = writeln!(out, "  report written to {out_path}");
     out
@@ -191,14 +128,16 @@ mod tests {
             path.display()
         )))
         .unwrap();
-        assert!(out.contains("cells"), "{out}");
-        assert!(out.contains("phase contact_processing"), "{out}");
+        assert!(out.contains("sweep.fig2a"), "{out}");
+        assert!(out.contains("phases.contact_processing"), "{out}");
         let report = BenchReport::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(report.schema, mbt_experiments::perf::BENCH_SCHEMA);
-        assert_eq!(report.sweeps, ["fig2a", "fig3a", "fault_sweep"]);
-        assert!(report.cells > 0);
-        assert!(report.counters.contacts > 0);
-        assert!(report.counters.bytes_moved > 0);
+        let sweep = report.section("sweep").expect("sweep section");
+        for id in ["fig2a", "fig3a", "fault_sweep"] {
+            assert!(sweep.int(id).unwrap() > 0, "{id}");
+        }
+        assert!(report.counters.int("contacts").unwrap() > 0);
+        assert!(report.counters.int("bytes_moved").unwrap() > 0);
     }
 
     #[test]
@@ -216,17 +155,16 @@ mod tests {
             path.display()
         )))
         .unwrap();
-        assert!(
-            out.contains("server bench: 400 records / 4 shards"),
-            "{out}"
-        );
-        assert!(out.contains("result digest 0x"), "{out}");
+        assert!(out.contains("server.records"), "{out}");
+        assert!(out.contains("server.result_digest"), "{out}");
+        assert!(out.contains(" 0x"), "digests render in hex: {out}");
         let report = BenchReport::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(report.scale, "server");
-        assert!(report.sweeps.is_empty());
-        let sb = report.server.expect("server section");
-        assert_eq!((sb.records, sb.shards, sb.ops), (400, 4, 300));
-        assert!(sb.searches > 0 && sb.hits > 0);
+        assert!(report.section("sweep").is_none());
+        let server = report.section("server").expect("server section");
+        let n = |key| server.int(key).unwrap();
+        assert_eq!((n("records"), n("shards"), n("ops")), (400, 4, 300));
+        assert!(n("searches") > 0 && n("hits") > 0);
     }
 
     #[test]
@@ -247,14 +185,19 @@ mod tests {
             path.display()
         )))
         .unwrap();
-        assert!(out.contains("city bench: 24 nodes / 8 routes"), "{out}");
-        assert!(out.contains("result digest 0x"), "{out}");
+        assert!(out.contains("city.nodes"), "{out}");
+        assert!(out.contains("city.result_digest"), "{out}");
         let report = BenchReport::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(report.scale, "city");
-        let cb = report.city.expect("city section");
-        assert_eq!((cb.nodes, cb.days, cb.routes), (24, 4, 8));
-        assert!(cb.contacts > 0 && cb.shards > 1);
-        assert_eq!(cb.shards_loaded, cb.shards, "single-decode replay");
+        let city = report.section("city").expect("city section");
+        let n = |key| city.int(key).unwrap();
+        assert_eq!((n("nodes"), n("days"), n("routes")), (24, 4, 8));
+        assert!(n("contacts") > 0 && n("shards") > 1);
+        assert_eq!(
+            report.counters.int("shards_loaded"),
+            Some(n("shards")),
+            "single-decode replay"
+        );
         assert!(
             dir.join("manifest.txt").exists(),
             "shards kept in --city-dir"

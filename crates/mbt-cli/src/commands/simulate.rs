@@ -8,7 +8,7 @@ use std::time::Instant;
 use dtn_sim::{FaultPlan, Telemetry};
 use dtn_trace::{read_trace, ShardedTrace, SimDuration, TraceSource};
 use mbt_core::{BroadcastOrdering, CooperationMode, MbtConfig, ProtocolSpec, TransportKind};
-use mbt_experiments::perf::BenchReport;
+use mbt_experiments::perf::{sweep_section, BenchReport};
 use mbt_experiments::runner::{run_simulation, SimParams};
 use mbt_experiments::ExecConfig;
 
@@ -111,14 +111,9 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         Some(report_path) => {
             let mut telemetry = Telemetry::default();
             let r = run_simulation(source.as_ref(), &params, Some(&mut telemetry));
-            let report = BenchReport::new(
-                "simulate",
-                &ExecConfig::serial(),
-                1,
-                started.elapsed(),
-                &telemetry,
-                vec!["simulate".to_string()],
-            );
+            let sweep = sweep_section(&[("simulate".to_string(), 1)], started.elapsed());
+            let report = BenchReport::new("simulate", &ExecConfig::serial(), &telemetry)
+                .with_section("sweep", sweep);
             std::fs::write(report_path, report.to_json())
                 .map_err(|e| CliError::Io(report_path.clone(), e))?;
             (r, Some(format!("  perf report written to {report_path}")))
@@ -253,8 +248,8 @@ mod tests {
         let report =
             BenchReport::from_json(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
         assert_eq!(report.scale, "simulate");
-        assert_eq!(report.cells, 1);
-        assert!(report.counters.contacts > 0);
+        assert_eq!(report.section("sweep").unwrap().int("simulate"), Some(1));
+        assert!(report.counters.int("contacts").unwrap() > 0);
     }
 
     #[test]

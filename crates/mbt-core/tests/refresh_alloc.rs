@@ -4,28 +4,42 @@
 //! plus a multi-megabyte scratch vector per daily refresh on a large server.
 //! The sharded server walks each shard's records in place instead.
 //!
-//! A counting global allocator measures the bytes allocated *during* the
-//! refresh on a 10⁵-record server. The old implementation allocated at
-//! least `100_000 × size_of::<Uri>()` (1.6 MB) for the keyspace clone
-//! alone; the rewrite stays within a small fixed budget that only covers
-//! the estimator's per-requested-URI scratch — proving URIs are neither
-//! cloned wholesale nor re-interned.
+//! A counting global allocator measures the bytes the calling thread
+//! allocates *during* the refresh on a 10⁵-record server (the server is
+//! single-threaded, so nothing escapes the per-thread tally). The old
+//! implementation allocated at least `100_000 × size_of::<Uri>()` (1.6 MB)
+//! for the keyspace clone alone; the rewrite stays within a small fixed
+//! budget that only covers the estimator's per-requested-URI scratch —
+//! proving URIs are neither cloned wholesale nor re-interned.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dtn_trace::{NodeId, SimTime};
 use mbt_core::{Metadata, MetadataServer, Popularity, Uri};
 
 struct CountingAllocator;
 
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-static ALLOCATION_COUNT: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// (bytes, allocations) requested by this thread. Per-thread, so tests
+    /// running in parallel never count each other's allocations.
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
 
+fn count(bytes: usize) {
+    // `try_with`: never panic inside the allocator, thread teardown included.
+    let _ = ALLOCATED.try_with(|c| {
+        let (b, n) = c.get();
+        c.set((b + bytes as u64, n + 1));
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`; the
+// tally only touches a const-initialised thread-local `Cell`, which never
+// allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        ALLOCATION_COUNT.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -34,8 +48,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        ALLOCATION_COUNT.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,16 +56,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Runs `f` and returns (bytes, allocations) it performed.
+/// Runs `f` and returns (bytes, allocations) it performed on this thread.
 fn allocation_of<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
-    let bytes_before = ALLOCATED_BYTES.load(Ordering::Relaxed);
-    let count_before = ALLOCATION_COUNT.load(Ordering::Relaxed);
+    let (bytes_before, count_before) = ALLOCATED.with(Cell::get);
     let out = f();
-    (
-        ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes_before,
-        ALLOCATION_COUNT.load(Ordering::Relaxed) - count_before,
-        out,
-    )
+    let (bytes_after, count_after) = ALLOCATED.with(Cell::get);
+    (bytes_after - bytes_before, count_after - count_before, out)
 }
 
 const RECORDS: usize = 100_000;

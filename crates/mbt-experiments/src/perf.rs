@@ -1,30 +1,44 @@
 //! Perf reports, bench harness, and baseline comparison.
 //!
 //! The observability layer ([`dtn_sim::telemetry`]) produces counters and
-//! phase spans; this module turns them into a schema-versioned JSON report
-//! (`BENCH_sweep.json`), runs the quick-scale bench sweeps that feed it, and
-//! diffs a fresh report against a committed baseline.
+//! phase spans; this module turns them into one flat, schema-versioned JSON
+//! document, runs the benches that fill it, and diffs a fresh report
+//! against a committed baseline. The layout is
 //!
-//! The comparison rules mirror the determinism contract:
+//! ```text
+//! { "schema":   "mbt-bench-v2",
+//!   "meta":     { "git": …, "scale": …, "jobs": …, "replicates": … },
+//!   "phases":   { "trace_load": 0.008808, … },
+//!   "counters": { "contacts": 1872, … },
+//!   "sections": { "sweep": { "fig2a": 9, …, "wall_secs": 0.351571 }, … } }
+//! ```
 //!
-//! - **counters are compared exactly** — they are a pure function of the
-//!   deterministic event stream, so any drift is a behaviour change, not
-//!   noise;
-//! - **timings are thresholded** — wall clock varies run to run, so only a
-//!   relative regression beyond [`Tolerance::rel`] (plus an absolute slack)
-//!   fails, and phases whose baseline is tiny are skipped entirely.
+//! `phases` and `counters` carry the run's [`Telemetry`]; each bench fills
+//! its own section (`sweep`, `server`, `city`). One writer, one parser and
+//! one comparer treat every section alike, and [`rule`] decides each key's
+//! treatment from its suffix:
 //!
-//! No serde is available in this workspace, so the JSON writer and the
-//! minimal recursive-descent parser here are hand-rolled. Counter values
-//! round-trip through f64, which is exact below 2^53 — far above anything a
-//! bench run produces.
+//! - **`_secs`** (and every phase) is a timing, thresholded at
+//!   `base × (1 + rel) + abs` — only between runs with equal `jobs`, and
+//!   never when the baseline is below [`Tolerance::min_phase_secs`];
+//! - **`_digest`** is compared exactly and written as a hex string, because
+//!   a `u64` digest can exceed 2⁵³, past which a JSON double is inexact;
+//! - **`_per_sec`** is informational;
+//! - **every other key** — each counter, cell count and shape field — is an
+//!   exact count: the benches are deterministic, so drift is a behaviour
+//!   change, not noise.
+//!
+//! A key or a section present on only one side is a violation too. No
+//! serde is available in this workspace, so the writer and the
+//! recursive-descent parser are hand-rolled; integers are read from their
+//! digits, never through `f64`.
 
 use std::path::Path;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
 use dtn_sim::rng::{derive_seed, stream};
-use dtn_sim::telemetry::{rate_per_sec, Counters, Phase, PhaseTimes, Telemetry};
+use dtn_sim::telemetry::{rate_per_sec, Phase, Telemetry};
 use dtn_trace::generators::DieselNetConfig;
 use dtn_trace::{NodeId, ShardWriter, SimDuration, SimTime};
 use mbt_core::{Metadata, MetadataServer, Popularity, Query, Uri};
@@ -32,320 +46,294 @@ use rand::Rng;
 
 use crate::exec::ExecConfig;
 use crate::figures::{self, Scale};
-use crate::runner::{run_simulation, SimParams};
+use crate::runner::{run_simulation, SimParams, SimResult};
 use crate::sweep::Figure;
 
 /// Schema tag every report carries; bumped on any incompatible layout
 /// change. [`compare`] refuses to diff reports with different tags.
-pub const BENCH_SCHEMA: &str = "mbt-bench-v1";
+pub const BENCH_SCHEMA: &str = "mbt-bench-v2";
 
-/// One perf report: identification, shape, timings, and counter totals.
-#[derive(Debug, Clone, PartialEq)]
+/// How [`compare`] treats one report key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// Wall-clock seconds, thresholded.
+    Timing,
+    /// A `u64` digest: exact, written as a hex string.
+    Digest,
+    /// A rate, reported but never compared.
+    Info,
+    /// A deterministic count, compared exactly.
+    Exact,
+}
+
+/// The rule for `key` of `section`: every phase is a timing; elsewhere the
+/// key's suffix decides (`_secs`, `_digest`, `_per_sec`, else exact).
+pub fn rule(section: &str, key: &str) -> Rule {
+    if section == "phases" || key.ends_with("_secs") {
+        Rule::Timing
+    } else if key.ends_with("_digest") {
+        Rule::Digest
+    } else if key.ends_with("_per_sec") {
+        Rule::Info
+    } else {
+        Rule::Exact
+    }
+}
+
+/// One report value; [`rule`] says which kind a key holds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// A count or a digest.
+    Int(u64),
+    /// Seconds or a rate.
+    Real(f64),
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        Value::Int(n)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(x: f64) -> Value {
+        Value::Real(x)
+    }
+}
+
+impl Value {
+    /// The value as reports show it: digests in hex, seconds and rates at
+    /// microsecond precision.
+    pub fn render(self, rule: Rule) -> String {
+        match (rule, self) {
+            (Rule::Digest, Value::Int(d)) => format!("{d:#018x}"),
+            (_, Value::Int(n)) => n.to_string(),
+            (_, Value::Real(x)) => format!("{x:.6}"),
+        }
+    }
+
+    fn as_f64(self) -> f64 {
+        match self {
+            Value::Int(n) => n as f64,
+            Value::Real(x) => x,
+        }
+    }
+}
+
+/// A named group of report keys, kept in insertion order.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Section(Vec<(String, Value)>);
+
+impl Section {
+    /// Sets `key`, replacing an earlier value.
+    pub fn set(&mut self, key: &str, value: impl Into<Value>) {
+        let value = value.into();
+        match self.0.iter_mut().find(|(k, _)| k == key) {
+            Some(slot) => slot.1 = value,
+            None => self.0.push((key.to_string(), value)),
+        }
+    }
+
+    /// [`Section::set`], chained.
+    pub fn with(mut self, key: &str, value: impl Into<Value>) -> Section {
+        self.set(key, value);
+        self
+    }
+
+    /// The value at `key`.
+    pub fn get(&self, key: &str) -> Option<Value> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    }
+
+    /// The count or digest at `key`.
+    pub fn int(&self, key: &str) -> Option<u64> {
+        match self.get(key)? {
+            Value::Int(n) => Some(n),
+            Value::Real(_) => None,
+        }
+    }
+
+    /// The seconds or rate at `key`.
+    pub fn real(&self, key: &str) -> Option<f64> {
+        match self.get(key)? {
+            Value::Real(x) => Some(x),
+            Value::Int(_) => None,
+        }
+    }
+
+    /// Keys and values in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Value)> {
+        self.0.iter().map(|(k, v)| (k.as_str(), *v))
+    }
+}
+
+/// One perf report: identification, the run's telemetry, and one section
+/// per bench that ran.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchReport {
     /// Schema tag ([`BENCH_SCHEMA`] for reports written by this build).
     pub schema: String,
     /// `git describe --always --dirty` of the producing checkout, or
     /// `"unknown"` outside a repository.
     pub git: String,
-    /// Human label for the workload ("quick", "full", "simulate", …).
+    /// Human label for the workload ("quick", "server", "simulate", …).
     pub scale: String,
     /// Worker threads the producing run used (`0` = one per core).
     pub jobs: usize,
     /// Replicates per sweep cell.
     pub replicates: u32,
-    /// Simulation cells executed (point × protocol × replicate, summed over
-    /// sweeps).
-    pub cells: u64,
-    /// End-to-end wall clock of the bench in seconds.
-    pub wall_secs: f64,
-    /// `cells / wall_secs`, `0.0` when either is zero (empty-sweep guard —
-    /// see [`rate_per_sec`]).
-    pub cells_per_sec: f64,
-    /// Wall-clock per instrumented phase. `discovery` and `download` are
-    /// sub-spans of `contact_processing`; phases do not sum to `wall_secs`.
-    pub phases: PhaseTimes,
-    /// Deterministic counter totals, merged in grid order.
-    pub counters: Counters,
-    /// Ids of the sweeps that contributed, in execution order.
-    pub sweeps: Vec<String>,
-    /// The metadata-server bench section, when the run included one
-    /// (`mbt bench --server`). Absent from sweep-only reports.
-    pub server: Option<ServerBench>,
-    /// The city-scale streaming bench section, when the run included one
-    /// (`mbt bench --city`). Absent from sweep-only reports.
-    pub city: Option<CityBench>,
+    /// Seconds per [`Phase::name`]. `discovery` and `download` are
+    /// sub-spans of `contact_processing`.
+    pub phases: Section,
+    /// Deterministic counter totals, by [`dtn_sim::telemetry::Counters::entries`] name.
+    pub counters: Section,
+    /// The benches' own sections, by name.
+    pub sections: Vec<(String, Section)>,
 }
 
 impl BenchReport {
-    /// Assembles a report from an observed run. Degenerate inputs (zero
-    /// cells or zero wall clock) yield a valid report with a zero rate
-    /// rather than NaN.
-    pub fn new(
-        scale: &str,
-        exec: &ExecConfig,
-        cells: u64,
-        wall: Duration,
-        telemetry: &Telemetry,
-        sweeps: Vec<String>,
-    ) -> BenchReport {
+    /// A report carrying `telemetry`, with no bench sections yet.
+    pub fn new(scale: &str, exec: &ExecConfig, telemetry: &Telemetry) -> BenchReport {
+        let phases = Phase::ALL.iter().fold(Section::default(), |s, p| {
+            s.with(p.name(), telemetry.phases.get(*p).as_secs_f64())
+        });
+        let counters = (telemetry.counters.entries().into_iter())
+            .fold(Section::default(), |s, (name, n)| s.with(name, n));
         BenchReport {
             schema: BENCH_SCHEMA.to_string(),
             git: git_describe(),
             scale: scale.to_string(),
             jobs: exec.jobs,
             replicates: exec.replicates.max(1),
-            cells,
-            wall_secs: wall.as_secs_f64(),
-            cells_per_sec: rate_per_sec(cells, wall),
-            phases: telemetry.phases,
-            counters: telemetry.counters,
-            sweeps,
-            server: None,
-            city: None,
+            phases,
+            counters,
+            sections: Vec::new(),
         }
+    }
+
+    /// Appends the section `name`.
+    pub fn with_section(mut self, name: &str, section: Section) -> BenchReport {
+        self.sections.push((name.to_string(), section));
+        self
+    }
+
+    /// The bench section `name`, if the report has one.
+    pub fn section(&self, name: &str) -> Option<&Section> {
+        self.sections
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, s)| s)
+    }
+
+    /// `phases`, `counters`, then every bench section, each with its name.
+    pub fn all_sections(&self) -> impl Iterator<Item = (&str, &Section)> {
+        [("phases", &self.phases), ("counters", &self.counters)]
+            .into_iter()
+            .chain(self.sections.iter().map(|(n, s)| (n.as_str(), s)))
     }
 
     /// Renders the report as pretty-printed JSON (stable key order).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", json_str(&self.schema)));
-        out.push_str(&format!("  \"git\": {},\n", json_str(&self.git)));
-        out.push_str(&format!("  \"scale\": {},\n", json_str(&self.scale)));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!("  \"replicates\": {},\n", self.replicates));
-        out.push_str(&format!("  \"cells\": {},\n", self.cells));
-        out.push_str(&format!("  \"wall_secs\": {:.6},\n", self.wall_secs));
-        out.push_str(&format!(
-            "  \"cells_per_sec\": {:.6},\n",
-            self.cells_per_sec
-        ));
-        out.push_str("  \"phases\": {\n");
-        for (i, phase) in Phase::ALL.iter().enumerate() {
-            let sep = if i + 1 == Phase::ALL.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    \"{}\": {:.6}{sep}\n",
-                phase.name(),
-                self.phases.get(*phase).as_secs_f64()
-            ));
+        let mut out = format!(
+            "{{\n  \"schema\": {},\n  \"meta\": {{\n    \"git\": {},\n    \"scale\": {},\n    \
+             \"jobs\": {},\n    \"replicates\": {}\n  }},\n",
+            json_str(&self.schema),
+            json_str(&self.git),
+            json_str(&self.scale),
+            self.jobs,
+            self.replicates
+        );
+        write_section(&mut out, 1, "phases", &self.phases);
+        out.push_str(",\n");
+        write_section(&mut out, 1, "counters", &self.counters);
+        out.push_str(",\n  \"sections\": {");
+        for (i, (name, section)) in self.sections.iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            write_section(&mut out, 2, name, section);
         }
-        out.push_str("  },\n");
-        out.push_str("  \"counters\": {\n");
-        let entries = self.counters.entries();
-        for (i, (name, value)) in entries.iter().enumerate() {
-            let sep = if i + 1 == entries.len() { "" } else { "," };
-            out.push_str(&format!("    \"{name}\": {value}{sep}\n"));
-        }
-        out.push_str("  },\n");
-        if let Some(sb) = &self.server {
-            out.push_str("  \"server_bench\": {\n");
-            out.push_str(&format!("    \"records\": {},\n", sb.records));
-            out.push_str(&format!("    \"shards\": {},\n", sb.shards));
-            out.push_str(&format!("    \"ops\": {},\n", sb.ops));
-            out.push_str(&format!("    \"publishes\": {},\n", sb.publishes));
-            out.push_str(&format!("    \"searches\": {},\n", sb.searches));
-            out.push_str(&format!("    \"requests\": {},\n", sb.requests));
-            out.push_str(&format!("    \"expired\": {},\n", sb.expired));
-            out.push_str(&format!("    \"hits\": {},\n", sb.hits));
-            out.push_str(&format!(
-                "    \"result_digest\": \"{:#018x}\",\n",
-                sb.result_digest
-            ));
-            out.push_str(&format!("    \"build_secs\": {:.6},\n", sb.build_secs));
-            out.push_str(&format!("    \"run_secs\": {:.6},\n", sb.run_secs));
-            out.push_str(&format!("    \"ops_per_sec\": {:.6}\n", sb.ops_per_sec));
-            out.push_str("  },\n");
-        }
-        if let Some(cb) = &self.city {
-            out.push_str("  \"city_bench\": {\n");
-            out.push_str(&format!("    \"nodes\": {},\n", cb.nodes));
-            out.push_str(&format!("    \"days\": {},\n", cb.days));
-            out.push_str(&format!("    \"routes\": {},\n", cb.routes));
-            out.push_str(&format!("    \"seed\": {},\n", cb.seed));
-            out.push_str(&format!("    \"prefetch\": {},\n", cb.prefetch));
-            out.push_str(&format!("    \"contacts\": {},\n", cb.contacts));
-            out.push_str(&format!("    \"shards\": {},\n", cb.shards));
-            out.push_str(&format!("    \"shards_loaded\": {},\n", cb.shards_loaded));
-            out.push_str(&format!(
-                "    \"shards_prefetched\": {},\n",
-                cb.shards_prefetched
-            ));
-            out.push_str(&format!(
-                "    \"peak_resident_contacts\": {},\n",
-                cb.peak_resident_contacts
-            ));
-            out.push_str(&format!(
-                "    \"peak_residue_nodes\": {},\n",
-                cb.peak_residue_nodes
-            ));
-            out.push_str(&format!(
-                "    \"residue_bytes_est\": {},\n",
-                cb.residue_bytes_est
-            ));
-            out.push_str(&format!("    \"queries\": {},\n", cb.queries));
-            out.push_str(&format!(
-                "    \"files_delivered\": {},\n",
-                cb.files_delivered
-            ));
-            out.push_str(&format!(
-                "    \"result_digest\": \"{:#018x}\",\n",
-                cb.result_digest
-            ));
-            out.push_str(&format!("    \"gen_secs\": {:.6},\n", cb.gen_secs));
-            out.push_str(&format!("    \"sim_secs\": {:.6},\n", cb.sim_secs));
-            out.push_str(&format!(
-                "    \"contacts_per_sec\": {:.6}\n",
-                cb.contacts_per_sec
-            ));
-            out.push_str("  },\n");
-        }
-        out.push_str("  \"sweeps\": [");
-        for (i, id) in self.sweeps.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(id));
-        }
-        out.push_str("]\n}\n");
+        out.push_str("\n  }\n}\n");
         out
     }
 
-    /// Parses a report previously written by [`BenchReport::to_json`].
-    /// Unknown phase or counter keys are ignored (forward compatibility);
-    /// missing keys default to zero / empty.
+    /// Parses a report written by [`BenchReport::to_json`]. A document with
+    /// another schema tag parses to that tag alone, so [`compare`] rejects
+    /// it with its schema-mismatch message rather than guessing at a layout
+    /// this build does not know. Unknown top-level keys are ignored.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first syntax or type error.
+    /// Returns a description of the first syntax or type error: a missing
+    /// field, non-finite or negative seconds, a count that is not a `u64`,
+    /// a malformed digest, or nesting deeper than the parser accepts.
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let value = json::parse(text)?;
-        let obj = value.as_obj().ok_or("top level is not an object")?;
-        let mut report = BenchReport {
-            schema: String::new(),
-            git: String::new(),
-            scale: String::new(),
-            jobs: 0,
-            replicates: 1,
-            cells: 0,
-            wall_secs: 0.0,
-            cells_per_sec: 0.0,
-            phases: PhaseTimes::default(),
-            counters: Counters::default(),
-            sweeps: Vec::new(),
-            server: None,
-            city: None,
-        };
-        for (key, val) in obj {
-            match key.as_str() {
-                "schema" => report.schema = val.expect_str(key)?,
-                "git" => report.git = val.expect_str(key)?,
-                "scale" => report.scale = val.expect_str(key)?,
-                "jobs" => report.jobs = val.expect_num(key)? as usize,
-                "replicates" => report.replicates = val.expect_num(key)? as u32,
-                "cells" => report.cells = val.expect_num(key)? as u64,
-                "wall_secs" => report.wall_secs = val.expect_num(key)?,
-                "cells_per_sec" => report.cells_per_sec = val.expect_num(key)?,
-                "phases" => {
-                    for (name, secs) in val.as_obj().ok_or("phases is not an object")? {
-                        if let Some(phase) = Phase::from_name(name) {
-                            let secs = secs.expect_num(name)?;
-                            report
-                                .phases
-                                .add(phase, Duration::from_secs_f64(secs.max(0.0)));
-                        }
-                    }
-                }
-                "counters" => {
-                    for (name, count) in val.as_obj().ok_or("counters is not an object")? {
-                        let count = count.expect_num(name)? as u64;
-                        let _ = report.counters.set(name, count);
-                    }
-                }
-                "sweeps" => {
-                    for item in val.as_arr().ok_or("sweeps is not an array")? {
-                        report.sweeps.push(item.expect_str("sweeps[]")?);
-                    }
-                }
-                "server_bench" => {
-                    let fields = val.as_obj().ok_or("server_bench is not an object")?;
-                    let mut sb = ServerBench::default();
-                    for (name, field) in fields {
-                        match name.as_str() {
-                            "records" => sb.records = field.expect_num(name)? as u64,
-                            "shards" => sb.shards = field.expect_num(name)? as u64,
-                            "ops" => sb.ops = field.expect_num(name)? as u64,
-                            "publishes" => sb.publishes = field.expect_num(name)? as u64,
-                            "searches" => sb.searches = field.expect_num(name)? as u64,
-                            "requests" => sb.requests = field.expect_num(name)? as u64,
-                            "expired" => sb.expired = field.expect_num(name)? as u64,
-                            "hits" => sb.hits = field.expect_num(name)? as u64,
-                            "result_digest" => {
-                                // Hex string: u64 digests exceed f64's exact
-                                // integer range, so they never ride as JSON
-                                // numbers.
-                                let text = field.expect_str(name)?;
-                                let raw = text.trim_start_matches("0x");
-                                sb.result_digest = u64::from_str_radix(raw, 16)
-                                    .map_err(|e| format!("bad result_digest `{text}`: {e}"))?;
-                            }
-                            "build_secs" => sb.build_secs = field.expect_num(name)?,
-                            "run_secs" => sb.run_secs = field.expect_num(name)?,
-                            "ops_per_sec" => sb.ops_per_sec = field.expect_num(name)?,
-                            _ => {}
-                        }
-                    }
-                    report.server = Some(sb);
-                }
-                "city_bench" => {
-                    let fields = val.as_obj().ok_or("city_bench is not an object")?;
-                    let mut cb = CityBench::default();
-                    for (name, field) in fields {
-                        match name.as_str() {
-                            "nodes" => cb.nodes = field.expect_num(name)? as u64,
-                            "days" => cb.days = field.expect_num(name)? as u64,
-                            "routes" => cb.routes = field.expect_num(name)? as u64,
-                            "seed" => cb.seed = field.expect_num(name)? as u64,
-                            "prefetch" => cb.prefetch = field.expect_num(name)? as u64,
-                            "contacts" => cb.contacts = field.expect_num(name)? as u64,
-                            "shards" => cb.shards = field.expect_num(name)? as u64,
-                            "shards_loaded" => cb.shards_loaded = field.expect_num(name)? as u64,
-                            "shards_prefetched" => {
-                                cb.shards_prefetched = field.expect_num(name)? as u64
-                            }
-                            "peak_resident_contacts" => {
-                                cb.peak_resident_contacts = field.expect_num(name)? as u64
-                            }
-                            "peak_residue_nodes" => {
-                                cb.peak_residue_nodes = field.expect_num(name)? as u64
-                            }
-                            "residue_bytes_est" => {
-                                cb.residue_bytes_est = field.expect_num(name)? as u64
-                            }
-                            "queries" => cb.queries = field.expect_num(name)? as u64,
-                            "files_delivered" => {
-                                cb.files_delivered = field.expect_num(name)? as u64
-                            }
-                            "result_digest" => {
-                                // Hex string for the same reason as the
-                                // server digest: u64 > 2^53.
-                                let text = field.expect_str(name)?;
-                                let raw = text.trim_start_matches("0x");
-                                cb.result_digest = u64::from_str_radix(raw, 16)
-                                    .map_err(|e| format!("bad result_digest `{text}`: {e}"))?;
-                            }
-                            "gen_secs" => cb.gen_secs = field.expect_num(name)?,
-                            "sim_secs" => cb.sim_secs = field.expect_num(name)?,
-                            "contacts_per_sec" => cb.contacts_per_sec = field.expect_num(name)?,
-                            _ => {}
-                        }
-                    }
-                    report.city = Some(cb);
-                }
-                _ => {}
-            }
+        let doc = json::parse(text)?;
+        let top = doc.as_obj("the top level")?;
+        let schema = json::field(top, "schema")?.as_str("`schema`")?.to_string();
+        if schema != BENCH_SCHEMA {
+            return Ok(BenchReport {
+                schema,
+                ..BenchReport::default()
+            });
         }
-        Ok(report)
+        let meta = json::field(top, "meta")?.as_obj("`meta`")?;
+        let text = |key: &str| -> Result<String, String> {
+            Ok(json::field(meta, key)?.as_str(key)?.to_string())
+        };
+        let int = |key: &str| -> Result<u64, String> { json::field(meta, key)?.as_u64(key) };
+        let sections = json::field(top, "sections")?.as_obj("`sections`")?;
+        Ok(BenchReport {
+            git: text("git")?,
+            scale: text("scale")?,
+            jobs: usize::try_from(int("jobs")?).map_err(|e| format!("`jobs`: {e}"))?,
+            replicates: u32::try_from(int("replicates")?)
+                .map_err(|e| format!("`replicates`: {e}"))?,
+            phases: read_section("phases", json::field(top, "phases")?)?,
+            counters: read_section("counters", json::field(top, "counters")?)?,
+            sections: (sections.iter())
+                .map(|(name, v)| Ok((name.clone(), read_section(name, v)?)))
+                .collect::<Result<_, String>>()?,
+            schema,
+        })
     }
+}
+
+fn write_section(out: &mut String, depth: usize, name: &str, section: &Section) {
+    let pad = "  ".repeat(depth);
+    out.push_str(&format!("{pad}{}: {{", json_str(name)));
+    for (i, (key, value)) in section.iter().enumerate() {
+        let text = match rule(name, key) {
+            Rule::Digest => json_str(&value.render(Rule::Digest)),
+            rule => value.render(rule),
+        };
+        let sep = if i == 0 { "\n" } else { ",\n" };
+        out.push_str(&format!("{sep}{pad}  {}: {text}", json_str(key)));
+    }
+    out.push_str(&format!("\n{pad}}}"));
+}
+
+fn read_section(name: &str, value: &json::Json) -> Result<Section, String> {
+    let mut section = Section::default();
+    for (key, v) in value.as_obj(&format!("`{name}`"))? {
+        let what = format!("`{name}.{key}`");
+        let value = match rule(name, key) {
+            Rule::Digest => {
+                let text = v.as_str(&what)?;
+                u64::from_str_radix(text.trim_start_matches("0x"), 16)
+                    .map(Value::Int)
+                    .map_err(|e| format!("{what}: bad digest `{text}`: {e}"))?
+            }
+            Rule::Exact => Value::Int(v.as_u64(&what)?),
+            Rule::Timing | Rule::Info => {
+                let x = v.as_f64(&what)?;
+                if !(x.is_finite() && x >= 0.0) {
+                    return Err(format!("{what} must be finite and non-negative, not {x}"));
+                }
+                Value::Real(x)
+            }
+        };
+        section.set(key, value);
+    }
+    Ok(section)
 }
 
 fn json_str(s: &str) -> String {
@@ -388,8 +376,8 @@ pub struct Tolerance {
     /// Absolute slack in seconds added on top of the relative allowance —
     /// keeps sub-second phases from failing on scheduler jitter.
     pub abs_secs: f64,
-    /// Phases whose baseline is below this many seconds are not compared at
-    /// all (too noisy to threshold meaningfully).
+    /// Timings whose baseline is below this many seconds are not compared
+    /// at all (too noisy to threshold meaningfully).
     pub min_phase_secs: f64,
 }
 
@@ -406,216 +394,79 @@ impl Default for Tolerance {
 /// Diffs `current` against `baseline`, returning one message per violation
 /// (empty = pass).
 ///
-/// Schema and report shape (cells, replicates, sweeps) must match exactly;
-/// counters must match exactly (they are deterministic); timings are only
-/// compared when both runs used the same `jobs`, and only fail when the
-/// current value exceeds `baseline * (1 + rel) + abs_secs`.
+/// The schemas must match (otherwise that is the only message), the
+/// replicate counts must match, both reports must have the same sections
+/// and keys, and every key must pass its [`rule`]. Timings are compared
+/// only when both runs used the same `jobs`.
 pub fn compare(current: &BenchReport, baseline: &BenchReport, tol: &Tolerance) -> Vec<String> {
-    let mut errors = Vec::new();
     if current.schema != baseline.schema {
-        errors.push(format!(
+        return vec![format!(
             "schema mismatch: current `{}` vs baseline `{}` (regenerate the baseline)",
             current.schema, baseline.schema
-        ));
-        return errors;
+        )];
     }
-    if current.cells != baseline.cells {
-        errors.push(format!(
-            "cell count drift: current {} vs baseline {}",
-            current.cells, baseline.cells
-        ));
-    }
+    let mut errors = Vec::new();
     if current.replicates != baseline.replicates {
         errors.push(format!(
             "replicate count drift: current {} vs baseline {}",
             current.replicates, baseline.replicates
         ));
     }
-    if current.sweeps != baseline.sweeps {
-        errors.push(format!(
-            "sweep set drift: current {:?} vs baseline {:?}",
-            current.sweeps, baseline.sweeps
-        ));
-    }
-    for ((name, cur), (_, base)) in current
-        .counters
-        .entries()
-        .iter()
-        .zip(baseline.counters.entries().iter())
-    {
-        if cur != base {
-            errors.push(format!(
-                "counter `{name}` drifted: current {cur} vs baseline {base} \
-                 (counters are deterministic — this is a behaviour change)"
-            ));
-        }
-    }
-    if current.jobs == baseline.jobs {
-        let allowed = |base: f64| base * (1.0 + tol.rel) + tol.abs_secs;
-        if baseline.wall_secs >= tol.min_phase_secs
-            && current.wall_secs > allowed(baseline.wall_secs)
-        {
-            errors.push(format!(
-                "wall clock regressed: current {:.3}s vs baseline {:.3}s (limit {:.3}s)",
-                current.wall_secs,
-                baseline.wall_secs,
-                allowed(baseline.wall_secs)
-            ));
-        }
-        for phase in Phase::ALL {
-            let base = baseline.phases.get(phase).as_secs_f64();
-            let cur = current.phases.get(phase).as_secs_f64();
-            if base >= tol.min_phase_secs && cur > allowed(base) {
-                errors.push(format!(
-                    "phase `{}` regressed: current {:.3}s vs baseline {:.3}s (limit {:.3}s)",
-                    phase.name(),
-                    cur,
-                    base,
-                    allowed(base)
-                ));
-            }
-        }
-    }
-    match (&current.server, &baseline.server) {
-        (Some(cur), Some(base)) => {
-            // The deterministic server fields get the counter treatment:
-            // exact equality, because drift means the server answered
-            // differently, not that the machine was slow.
-            let exact: [(&str, u64, u64); 8] = [
-                ("records", cur.records, base.records),
-                ("shards", cur.shards, base.shards),
-                ("ops", cur.ops, base.ops),
-                ("publishes", cur.publishes, base.publishes),
-                ("searches", cur.searches, base.searches),
-                ("requests", cur.requests, base.requests),
-                ("expired", cur.expired, base.expired),
-                ("hits", cur.hits, base.hits),
-            ];
-            for (name, c, b) in exact {
-                if c != b {
-                    errors.push(format!(
-                        "server_bench `{name}` drifted: current {c} vs baseline {b} \
-                         (the server bench is deterministic — this is a behaviour change)"
-                    ));
-                }
-            }
-            if cur.result_digest != base.result_digest {
-                errors.push(format!(
-                    "server_bench result digest drifted: current {:#018x} vs baseline {:#018x} \
-                     (search answers or their ranking changed)",
-                    cur.result_digest, base.result_digest
-                ));
-            }
-            if current.jobs == baseline.jobs {
-                let allowed = |base: f64| base * (1.0 + tol.rel) + tol.abs_secs;
-                for (name, c, b) in [
-                    ("build_secs", cur.build_secs, base.build_secs),
-                    ("run_secs", cur.run_secs, base.run_secs),
-                ] {
-                    if b >= tol.min_phase_secs && c > allowed(b) {
+    let timed = current.jobs == baseline.jobs;
+    let names = |r: &BenchReport| {
+        r.all_sections()
+            .map(|(n, _)| format!("section `{n}`"))
+            .collect::<Vec<_>>()
+    };
+    presence(&mut errors, &names(current), &names(baseline));
+    for (name, base) in baseline.all_sections() {
+        let Some((_, cur)) = current.all_sections().find(|(n, _)| *n == name) else {
+            continue;
+        };
+        let keys = |s: &Section| -> Vec<String> {
+            s.iter().map(|(k, _)| format!("`{name}.{k}`")).collect()
+        };
+        presence(&mut errors, &keys(cur), &keys(base));
+        for (key, b) in base.iter() {
+            let Some(c) = cur.get(key) else { continue };
+            match rule(name, key) {
+                Rule::Info => {}
+                Rule::Timing => {
+                    let (c, b) = (c.as_f64(), b.as_f64());
+                    let limit = b * (1.0 + tol.rel) + tol.abs_secs;
+                    if timed && b >= tol.min_phase_secs && c > limit {
                         errors.push(format!(
-                            "server_bench `{name}` regressed: current {c:.3}s vs \
-                             baseline {b:.3}s (limit {:.3}s)",
-                            allowed(b)
+                            "`{name}.{key}` regressed: current {c:.3}s vs baseline {b:.3}s \
+                             (limit {limit:.3}s)"
                         ));
                     }
                 }
+                rule if c != b => errors.push(format!(
+                    "`{name}.{key}` drifted: current {} vs baseline {} (the bench is \
+                     deterministic — this is a behaviour change)",
+                    c.render(rule),
+                    b.render(rule)
+                )),
+                _ => {}
             }
-        }
-        (None, None) => {}
-        (cur, _) => {
-            let (have, want) = if cur.is_some() {
-                ("has", "lacks")
-            } else {
-                ("lacks", "has")
-            };
-            errors.push(format!(
-                "server_bench presence mismatch: current {have} a server section but the \
-                 baseline {want} one (regenerate the baseline or drop --server)"
-            ));
-        }
-    }
-    match (&current.city, &baseline.city) {
-        (Some(cur), Some(base)) => {
-            // Same treatment as the server bench: the replay is
-            // deterministic, so every non-timing field must match exactly.
-            let exact: [(&str, u64, u64); 14] = [
-                ("nodes", cur.nodes, base.nodes),
-                ("days", cur.days, base.days),
-                ("routes", cur.routes, base.routes),
-                ("seed", cur.seed, base.seed),
-                ("prefetch", cur.prefetch, base.prefetch),
-                ("contacts", cur.contacts, base.contacts),
-                ("shards", cur.shards, base.shards),
-                ("shards_loaded", cur.shards_loaded, base.shards_loaded),
-                (
-                    "shards_prefetched",
-                    cur.shards_prefetched,
-                    base.shards_prefetched,
-                ),
-                (
-                    "peak_resident_contacts",
-                    cur.peak_resident_contacts,
-                    base.peak_resident_contacts,
-                ),
-                (
-                    "peak_residue_nodes",
-                    cur.peak_residue_nodes,
-                    base.peak_residue_nodes,
-                ),
-                (
-                    "residue_bytes_est",
-                    cur.residue_bytes_est,
-                    base.residue_bytes_est,
-                ),
-                ("queries", cur.queries, base.queries),
-                ("files_delivered", cur.files_delivered, base.files_delivered),
-            ];
-            for (name, c, b) in exact {
-                if c != b {
-                    errors.push(format!(
-                        "city_bench `{name}` drifted: current {c} vs baseline {b} \
-                         (the city bench is deterministic — this is a behaviour change)"
-                    ));
-                }
-            }
-            if cur.result_digest != base.result_digest {
-                errors.push(format!(
-                    "city_bench result digest drifted: current {:#018x} vs baseline {:#018x} \
-                     (the streamed simulation produced different deliveries)",
-                    cur.result_digest, base.result_digest
-                ));
-            }
-            if current.jobs == baseline.jobs {
-                let allowed = |base: f64| base * (1.0 + tol.rel) + tol.abs_secs;
-                for (name, c, b) in [
-                    ("gen_secs", cur.gen_secs, base.gen_secs),
-                    ("sim_secs", cur.sim_secs, base.sim_secs),
-                ] {
-                    if b >= tol.min_phase_secs && c > allowed(b) {
-                        errors.push(format!(
-                            "city_bench `{name}` regressed: current {c:.3}s vs \
-                             baseline {b:.3}s (limit {:.3}s)",
-                            allowed(b)
-                        ));
-                    }
-                }
-            }
-        }
-        (None, None) => {}
-        (cur, _) => {
-            let (have, want) = if cur.is_some() {
-                ("has", "lacks")
-            } else {
-                ("lacks", "has")
-            };
-            errors.push(format!(
-                "city_bench presence mismatch: current {have} a city section but the \
-                 baseline {want} one (regenerate the baseline or drop --city)"
-            ));
         }
     }
     errors
+}
+
+/// Flags every name that only one side has.
+fn presence(errors: &mut Vec<String>, current: &[String], baseline: &[String]) {
+    for (names, others, side) in [
+        (current, baseline, "current"),
+        (baseline, current, "baseline"),
+    ] {
+        for name in names.iter().filter(|n| !others.contains(n)) {
+            errors.push(format!(
+                "{name} presence mismatch: only the {side} report has it (regenerate the \
+                 baseline or rerun the bench it came from)"
+            ));
+        }
+    }
 }
 
 /// Number of simulation cells behind a rendered figure: series × points ×
@@ -623,6 +474,16 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, tol: &Tolerance) -
 pub fn figure_cells(fig: &Figure, replicates: u32) -> u64 {
     let points: usize = fig.series.iter().map(|s| s.points.len()).sum();
     points as u64 * u64::from(replicates.max(1))
+}
+
+/// The `sweep` section: simulation cells per sweep id, in execution order,
+/// then the wall clock and the cells-per-second rate over all of them.
+pub fn sweep_section(cells: &[(String, u64)], wall: Duration) -> Section {
+    let total: u64 = cells.iter().map(|(_, n)| n).sum();
+    (cells.iter())
+        .fold(Section::default(), |s, (id, n)| s.with(id, *n))
+        .with("wall_secs", wall.as_secs_f64())
+        .with("cells_per_sec", rate_per_sec(total, wall))
 }
 
 /// Runs the bench sweeps (fig 2a, fig 3a, and the fault sweep — one per
@@ -637,60 +498,18 @@ pub fn run_bench(scale: Scale, exec: &ExecConfig) -> BenchReport {
     };
     let started = Instant::now();
     let mut ctx = figures::RunContext::new(scale).exec(*exec).observed();
-    let mut cells = 0u64;
-    let mut sweeps = Vec::new();
     let runs: [fn(&mut figures::RunContext) -> Figure; 3] =
         [figures::fig2a, figures::fig3a, figures::fault_sweep];
-    for run in runs {
-        let fig = run(&mut ctx);
-        cells += figure_cells(&fig, exec.replicates);
-        sweeps.push(fig.id);
-    }
+    let cells: Vec<(String, u64)> = (runs.iter())
+        .map(|run| {
+            let fig = run(&mut ctx);
+            let n = figure_cells(&fig, exec.replicates);
+            (fig.id, n)
+        })
+        .collect();
     let telemetry = ctx.take_telemetry();
-    BenchReport::new(
-        scale_label,
-        exec,
-        cells,
-        started.elapsed(),
-        &telemetry,
-        sweeps,
-    )
-}
-
-/// Results of the metadata-server bench: a synthetic corpus at production
-/// scale driven through a mixed operation storm.
-///
-/// Shape fields and operation counters (everything up to `result_digest`)
-/// are deterministic — a pure function of the config and seed — and
-/// [`compare`] diffs them exactly. The timings are thresholded like every
-/// other wall-clock figure.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ServerBench {
-    /// Corpus size the server was seeded with.
-    pub records: u64,
-    /// Shard count of the server under test.
-    pub shards: u64,
-    /// Driver operations executed.
-    pub ops: u64,
-    /// Publishes (corpus seeding + driver publishes/republishes).
-    pub publishes: u64,
-    /// Searches the driver issued.
-    pub searches: u64,
-    /// Download requests recorded into the popularity estimator.
-    pub requests: u64,
-    /// Records dropped by the driver's periodic expiry passes.
-    pub expired: u64,
-    /// Total results returned across all searches.
-    pub hits: u64,
-    /// FNV-1a digest over every search answer in order — the strongest
-    /// deterministic signal: any ranking or membership change flips it.
-    pub result_digest: u64,
-    /// Wall clock of corpus seeding.
-    pub build_secs: f64,
-    /// Wall clock of the driver.
-    pub run_secs: f64,
-    /// `ops / run_secs` (0 when degenerate).
-    pub ops_per_sec: f64,
+    BenchReport::new(scale_label, exec, &telemetry)
+        .with_section("sweep", sweep_section(&cells, started.elapsed()))
 }
 
 /// Configuration for [`run_server_bench`].
@@ -786,17 +605,15 @@ fn sample_zipf(cum: &[f64], rng: &mut impl Rng) -> u64 {
 /// recordings, 5% point popularity updates — with a daily-style
 /// `refresh_popularities` + `expire` pass every tenth of the run.
 ///
-/// Fully deterministic for a given config: every stream is derived from
-/// `cfg.seed` via [`derive_seed`], and the returned
-/// [`result_digest`](ServerBench::result_digest) folds every search answer.
-pub fn run_server_bench(cfg: &ServerBenchConfig) -> ServerBench {
+/// Returns the `server` section: the shape (`records`, `shards`, `ops`),
+/// the operation counts (`publishes` includes the corpus seeding,
+/// `searches`, `requests`, `expired`, `hits`), the `result_digest` folding
+/// every search answer in order, the `build_secs`/`run_secs` wall clock and
+/// `ops_per_sec`. Fully deterministic for a given config apart from the
+/// timings: every stream is derived from `cfg.seed` via [`derive_seed`].
+pub fn run_server_bench(cfg: &ServerBenchConfig) -> Section {
     assert!(cfg.records > 0 && cfg.ops > 0, "degenerate bench config");
-    let mut bench = ServerBench {
-        records: cfg.records,
-        shards: cfg.shards.max(1) as u64,
-        ops: cfg.ops,
-        ..ServerBench::default()
-    };
+    let (mut publishes, mut searches, mut requests, mut expired, mut hits) = (0u64, 0, 0, 0, 0);
 
     // Corpus seeding (timed separately: publish throughput).
     let vocab = server_bench_vocab(cfg.records);
@@ -806,9 +623,9 @@ pub fn run_server_bench(cfg: &ServerBenchConfig) -> ServerBench {
     for idx in 0..cfg.records {
         let (meta, popularity) = server_bench_record(idx, vocab, &mut corpus_rng);
         server.publish(meta, popularity);
-        bench.publishes += 1;
+        publishes += 1;
     }
-    bench.build_secs = build_started.elapsed().as_secs_f64();
+    let build_secs = build_started.elapsed().as_secs_f64();
 
     // The driver: Zipf-skewed reads against the full corpus.
     let cum = zipf_cumulative(cfg.records);
@@ -829,14 +646,14 @@ pub fn run_server_bench(cfg: &ServerBenchConfig) -> ServerBench {
                 let (meta, popularity) = server_bench_record(fresh, vocab, &mut driver_rng);
                 fresh += 1;
                 server.publish(meta, popularity);
-                bench.publishes += 1;
+                publishes += 1;
             }
             1 => {
                 // Republish of an existing (Zipf-hot) record.
                 let idx = sample_zipf(&cum, &mut driver_rng);
                 let (meta, popularity) = server_bench_record(idx, vocab, &mut driver_rng);
                 server.publish(meta, popularity);
-                bench.publishes += 1;
+                publishes += 1;
             }
             2..=4 => {
                 let idx = sample_zipf(&cum, &mut driver_rng);
@@ -846,7 +663,7 @@ pub fn run_server_bench(cfg: &ServerBenchConfig) -> ServerBench {
                     node,
                     now,
                 );
-                bench.requests += 1;
+                requests += 1;
             }
             5 => {
                 let idx = sample_zipf(&cum, &mut driver_rng);
@@ -867,8 +684,8 @@ pub fn run_server_bench(cfg: &ServerBenchConfig) -> ServerBench {
                 };
                 let query = Query::new(text).expect("vocabulary tokens are valid");
                 let results = server.search(&query, 10);
-                bench.searches += 1;
-                bench.hits += results.len() as u64;
+                searches += 1;
+                hits += results.len() as u64;
                 for meta in results {
                     digest = fnv_fold(digest, meta.uri().as_str().as_bytes());
                 }
@@ -876,83 +693,36 @@ pub fn run_server_bench(cfg: &ServerBenchConfig) -> ServerBench {
         }
         if (op + 1) % maintenance_every == 0 {
             server.refresh_popularities(now);
-            bench.expired += server.expire(now) as u64;
+            expired += server.expire(now) as u64;
         }
     }
-    bench.run_secs = run_started.elapsed().as_secs_f64();
-    bench.ops_per_sec = rate_per_sec(cfg.ops, run_started.elapsed());
-    digest = fnv_fold(digest, &bench.hits.to_be_bytes());
+    let run_elapsed = run_started.elapsed();
+    digest = fnv_fold(digest, &hits.to_be_bytes());
     digest = fnv_fold(digest, &(server.len() as u64).to_be_bytes());
-    bench.result_digest = digest;
-    bench
+    Section::default()
+        .with("records", cfg.records)
+        .with("shards", cfg.shards.max(1) as u64)
+        .with("ops", cfg.ops)
+        .with("publishes", publishes)
+        .with("searches", searches)
+        .with("requests", requests)
+        .with("expired", expired)
+        .with("hits", hits)
+        .with("result_digest", digest)
+        .with("build_secs", build_secs)
+        .with("run_secs", run_elapsed.as_secs_f64())
+        .with("ops_per_sec", rate_per_sec(cfg.ops, run_elapsed))
 }
 
-/// Runs the server bench and wraps it in a schema-versioned [`BenchReport`]
-/// (scale label `"server"`, no sweep content) so the standard baseline
-/// tooling — `to_json`, `from_json`, [`compare`], perf-check — applies
-/// unchanged.
+/// Runs the server bench into a report (scale label `"server"`) whose only
+/// section is `server`, plus the bench's total `wall_secs`.
 pub fn run_server_bench_report(cfg: &ServerBenchConfig, exec: &ExecConfig) -> BenchReport {
     let started = Instant::now();
-    let bench = run_server_bench(cfg);
-    let mut report = BenchReport::new(
+    let section = run_server_bench(cfg);
+    BenchReport::new("server", exec, &Telemetry::default()).with_section(
         "server",
-        exec,
-        0,
-        started.elapsed(),
-        &Telemetry::default(),
-        Vec::new(),
-    );
-    report.server = Some(bench);
-    report
-}
-
-/// Results of the city-scale streaming bench: a seeded city-sized DieselNet
-/// trace generated straight into on-disk shards, then stream-simulated with
-/// bounded memory and pipelined shard prefetch.
-///
-/// Everything up to `result_digest` is deterministic — a pure function of
-/// the config — and [`compare`] diffs those fields exactly. The timings are
-/// thresholded like every other wall-clock figure.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CityBench {
-    /// Buses/nodes in the generated city trace.
-    pub nodes: u64,
-    /// Simulated days generated and replayed.
-    pub days: u64,
-    /// Route count of the generator (contact-graph spread).
-    pub routes: u64,
-    /// Master seed for generation and simulation.
-    pub seed: u64,
-    /// Shard prefetch depth the replay ran with.
-    pub prefetch: u64,
-    /// Contacts in the generated trace.
-    pub contacts: u64,
-    /// Shards the trace was written into.
-    pub shards: u64,
-    /// Shards decoded by the simulation (single-decode replay: one pass).
-    pub shards_loaded: u64,
-    /// Shards handed to the prefetch worker (≥ `shards_loaded` with
-    /// prefetch on, equal after a full drain).
-    pub shards_prefetched: u64,
-    /// Peak contacts resident at once, counting prefetched shards.
-    pub peak_resident_contacts: u64,
-    /// Peak cold-node residue entries held by the [`crate::ResidueStore`].
-    pub peak_residue_nodes: u64,
-    /// Peak estimated residue bytes (model-based, deterministic).
-    pub residue_bytes_est: u64,
-    /// Queries generated by measured nodes.
-    pub queries: u64,
-    /// Complete-file deliveries to measured nodes.
-    pub files_delivered: u64,
-    /// FNV-1a digest over the deterministic simulation outputs, including
-    /// the daily delivery series — any behavioural drift flips it.
-    pub result_digest: u64,
-    /// Wall clock of trace generation + shard writing.
-    pub gen_secs: f64,
-    /// Wall clock of the streamed simulation.
-    pub sim_secs: f64,
-    /// `contacts / sim_secs` (0 when degenerate).
-    pub contacts_per_sec: f64,
+        section.with("wall_secs", started.elapsed().as_secs_f64()),
+    )
 }
 
 /// Configuration for [`run_city_bench`].
@@ -984,28 +754,42 @@ impl Default for CityBenchConfig {
     }
 }
 
+/// FNV-1a digest over the deterministic [`SimResult`] totals and the daily
+/// delivery series — any behavioural drift flips it.
+fn city_result_digest(result: &SimResult) -> u64 {
+    let totals = [
+        result.queries,
+        result.metadata_delivered,
+        result.files_delivered,
+        result.contacts,
+        result.metadata_broadcasts,
+        result.file_broadcasts,
+        result.queries_distributed,
+    ];
+    let daily = (result.daily_metadata_delivered.iter()).chain(&result.daily_files_delivered);
+    (totals.iter().chain(daily)).fold(0xcbf2_9ce4_8422_2325, |h, v| fnv_fold(h, &v.to_be_bytes()))
+}
+
 /// Generates the configured city trace into one-day shards under `dir`
-/// (which must not already hold a trace) and stream-simulates it with the
-/// CI city-scale parameters (10 files/day, 2-day TTL, 0.1% Internet
-/// access, 3-day frequent window).
+/// (replacing any trace already there) and stream-simulates it with the
+/// parameters `mbt simulate --files-per-day 10 --ttl 2 --internet 0.001`
+/// uses (the CLI's 1-day frequent-contact window included).
 ///
-/// Deterministic for a given config: the digest folds every deterministic
-/// [`crate::SimResult`] field including the daily delivery series, and the
-/// shard/residue counters come straight from the telemetry layer.
+/// The replay's whole telemetry merges into `telemetry`. Returns the `city`
+/// section: the shape (`nodes`, `days`, `routes`, `seed`, `prefetch`,
+/// `contacts`, `shards`), the `queries` and `files_delivered` of the
+/// result, a `result_digest` folding every deterministic [`SimResult`]
+/// total and the daily delivery series, the `gen_secs`/`sim_secs` wall
+/// clock and `contacts_per_sec`.
 ///
 /// # Errors
 ///
 /// Returns a description of the first shard I/O failure.
-pub fn run_city_bench(cfg: &CityBenchConfig, dir: &Path) -> Result<CityBench, String> {
-    let mut bench = CityBench {
-        nodes: u64::from(cfg.nodes),
-        days: cfg.days,
-        routes: u64::from(cfg.routes),
-        seed: cfg.seed,
-        prefetch: cfg.prefetch as u64,
-        ..CityBench::default()
-    };
-
+pub fn run_city_bench(
+    cfg: &CityBenchConfig,
+    dir: &Path,
+    telemetry: &mut Telemetry,
+) -> Result<Section, String> {
     let gen_started = Instant::now();
     let mut writer =
         ShardWriter::create(dir, SimDuration::from_days(1)).map_err(|e| e.to_string())?;
@@ -1014,61 +798,39 @@ pub fn run_city_bench(cfg: &CityBenchConfig, dir: &Path) -> Result<CityBench, St
         .routes(cfg.routes)
         .generate_into(&mut writer);
     let sharded = writer.finish().map_err(|e| e.to_string())?;
-    bench.gen_secs = gen_started.elapsed().as_secs_f64();
-    bench.contacts = dtn_trace::TraceSource::len(&sharded) as u64;
-    bench.shards = sharded.shard_count() as u64;
+    let gen_secs = gen_started.elapsed().as_secs_f64();
+    let contacts = dtn_trace::TraceSource::len(&sharded) as u64;
 
-    let params = SimParams {
-        days: cfg.days,
-        seed: cfg.seed,
-        files_per_day: 10,
-        ttl_days: 2,
-        internet_fraction: 0.001,
-        frequent_window: SimDuration::from_days(3),
-        prefetch: cfg.prefetch,
-        ..SimParams::default()
-    };
-    let mut telemetry = Telemetry::default();
+    let params = SimParams::builder()
+        .days(cfg.days)
+        .seed(cfg.seed)
+        .files_per_day(10)
+        .ttl_days(2)
+        .internet_fraction(0.001)
+        .prefetch(cfg.prefetch)
+        .build();
     let sim_started = Instant::now();
-    let result = run_simulation(&sharded, &params, Some(&mut telemetry));
+    let result = run_simulation(&sharded, &params, Some(telemetry));
     let sim_elapsed = sim_started.elapsed();
-    bench.sim_secs = sim_elapsed.as_secs_f64();
-    bench.contacts_per_sec = rate_per_sec(bench.contacts, sim_elapsed);
-
-    bench.shards_loaded = telemetry.counters.shards_loaded;
-    bench.shards_prefetched = telemetry.counters.shards_prefetched;
-    bench.peak_resident_contacts = telemetry.counters.peak_resident_contacts;
-    bench.peak_residue_nodes = telemetry.counters.peak_residue_nodes;
-    bench.residue_bytes_est = telemetry.counters.residue_bytes_est;
-    bench.queries = result.queries;
-    bench.files_delivered = result.files_delivered;
-
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    for value in [
-        result.queries,
-        result.metadata_delivered,
-        result.files_delivered,
-        result.contacts,
-        result.metadata_broadcasts,
-        result.file_broadcasts,
-        result.queries_distributed,
-    ] {
-        digest = fnv_fold(digest, &value.to_be_bytes());
-    }
-    for day in result
-        .daily_metadata_delivered
-        .iter()
-        .chain(result.daily_files_delivered.iter())
-    {
-        digest = fnv_fold(digest, &day.to_be_bytes());
-    }
-    bench.result_digest = digest;
-    Ok(bench)
+    Ok(Section::default()
+        .with("nodes", u64::from(cfg.nodes))
+        .with("days", cfg.days)
+        .with("routes", u64::from(cfg.routes))
+        .with("seed", cfg.seed)
+        .with("prefetch", cfg.prefetch as u64)
+        .with("contacts", contacts)
+        .with("shards", sharded.shard_count() as u64)
+        .with("queries", result.queries)
+        .with("files_delivered", result.files_delivered)
+        .with("result_digest", city_result_digest(&result))
+        .with("gen_secs", gen_secs)
+        .with("sim_secs", sim_elapsed.as_secs_f64())
+        .with("contacts_per_sec", rate_per_sec(contacts, sim_elapsed)))
 }
 
-/// Runs the city bench and wraps it in a schema-versioned [`BenchReport`]
-/// (scale label `"city"`, no sweep content) carrying the run's telemetry
-/// counters, so the standard baseline tooling applies unchanged.
+/// Runs the city bench into a report (scale label `"city"`) carrying the
+/// replay's telemetry and the `city` section, plus the bench's total
+/// `wall_secs`.
 ///
 /// # Errors
 ///
@@ -1079,225 +841,202 @@ pub fn run_city_bench_report(
     dir: &Path,
 ) -> Result<BenchReport, String> {
     let started = Instant::now();
-    let bench = run_city_bench(cfg, dir)?;
     let mut telemetry = Telemetry::default();
-    telemetry.counters.contacts = bench.contacts;
-    telemetry.counters.shards_loaded = bench.shards_loaded;
-    telemetry.counters.shards_prefetched = bench.shards_prefetched;
-    telemetry.counters.peak_resident_contacts = bench.peak_resident_contacts;
-    telemetry.counters.peak_residue_nodes = bench.peak_residue_nodes;
-    telemetry.counters.residue_bytes_est = bench.residue_bytes_est;
-    let mut report = BenchReport::new("city", exec, 1, started.elapsed(), &telemetry, Vec::new());
-    report.city = Some(bench);
-    Ok(report)
+    let section = run_city_bench(cfg, dir, &mut telemetry)?;
+    Ok(BenchReport::new("city", exec, &telemetry).with_section(
+        "city",
+        section.with("wall_secs", started.elapsed().as_secs_f64()),
+    ))
 }
 
-/// Minimal recursive-descent JSON parser — just enough for
-/// [`BenchReport::from_json`]. Numbers are f64 (exact for every integer a
-/// report can hold); no surrogate-pair `\u` handling beyond the BMP.
 mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any number.
-        Num(f64),
-        /// A string.
+    //! Minimal recursive-descent parser for the JSON a report uses —
+    //! objects, strings and numbers (no arrays or literals). Numbers keep
+    //! their source text so integers convert exactly; nesting is capped at
+    //! [`MAX_DEPTH`] so hostile input gets an error, not a stack overflow.
+
+    /// A parsed JSON value: a number as written, a string, or an object's
+    /// fields in source order.
+    #[derive(Debug)]
+    pub enum Json {
+        Num(String),
         Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in source order.
-        Obj(Vec<(String, Value)>),
+        Obj(Vec<(String, Json)>),
     }
 
-    impl Value {
-        pub fn as_obj(&self) -> Option<&[(String, Value)]> {
+    /// Deepest object nesting accepted; a report needs three levels.
+    pub const MAX_DEPTH: usize = 32;
+
+    impl Json {
+        pub fn as_obj(&self, what: &str) -> Result<&[(String, Json)], String> {
             match self {
-                Value::Obj(fields) => Some(fields),
-                _ => None,
+                Json::Obj(fields) => Ok(fields),
+                _ => Err(format!("{what} is not an object")),
             }
         }
 
-        pub fn as_arr(&self) -> Option<&[Value]> {
+        pub fn as_str(&self, what: &str) -> Result<&str, String> {
             match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
+                Json::Str(s) => Ok(s),
+                _ => Err(format!("{what} is not a string")),
             }
         }
 
-        pub fn expect_str(&self, key: &str) -> Result<String, String> {
+        pub fn as_u64(&self, what: &str) -> Result<u64, String> {
             match self {
-                Value::Str(s) => Ok(s.clone()),
-                _ => Err(format!("`{key}` is not a string")),
+                Json::Num(t) => t.parse().map_err(|_| format!("{what} is not a u64: {t}")),
+                _ => Err(format!("{what} is not a number")),
             }
         }
 
-        pub fn expect_num(&self, key: &str) -> Result<f64, String> {
+        pub fn as_f64(&self, what: &str) -> Result<f64, String> {
             match self {
-                Value::Num(n) => Ok(*n),
-                _ => Err(format!("`{key}` is not a number")),
+                Json::Num(t) => t
+                    .parse()
+                    .map_err(|_| format!("{what} is not a number: {t}")),
+                _ => Err(format!("{what} is not a number")),
             }
         }
     }
 
-    /// Parses one JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
+    /// The value of `key` among `fields`.
+    pub fn field<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
+        (fields.iter().find(|(k, _)| k == key))
+            .map(|(_, v)| v)
+            .ok_or_else(|| format!("missing `{key}`"))
+    }
+
+    /// Parses one JSON document (surrounding whitespace allowed).
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser { text, pos: 0 };
+        let value = p.value(0)?;
+        p.skip_ws();
+        if p.pos != text.len() {
+            return Err(p.error("trailing garbage"));
         }
         Ok(value)
     }
 
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
+    struct Parser<'a> {
+        text: &'a str,
+        /// Byte offset; always on a char boundary.
+        pos: usize,
     }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            None => Err("unexpected end of input".to_string()),
-            Some(b'{') => parse_obj(bytes, pos),
-            Some(b'[') => parse_arr(bytes, pos),
-            Some(b'"') => Ok(Value::Str(parse_str(bytes, pos)?)),
-            Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
-            Some(_) => parse_num(bytes, pos),
+    impl Parser<'_> {
+        fn peek(&self) -> Option<u8> {
+            self.text.as_bytes().get(self.pos).copied()
         }
-    }
 
-    fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-        if bytes[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {pos}", pos = *pos))
+        fn skip_ws(&mut self) {
+            while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
+                self.pos += 1;
+            }
         }
-    }
 
-    fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < bytes.len()
-            && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            *pos += 1;
+        /// Skips whitespace, then consumes `byte` if it comes next.
+        fn eat(&mut self, byte: u8) -> bool {
+            self.skip_ws();
+            let hit = self.peek() == Some(byte);
+            if hit {
+                self.pos += 1;
+            }
+            hit
         }
-        std::str::from_utf8(&bytes[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
 
-    fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        *pos += 1; // opening quote
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
+        fn error(&self, what: &str) -> String {
+            format!("{what} at byte {}", self.pos)
+        }
+
+        fn value(&mut self, depth: usize) -> Result<Json, String> {
+            self.skip_ws();
+            match self.peek() {
+                None => Err("unexpected end of input".to_string()),
+                Some(b'{') if depth == MAX_DEPTH => {
+                    Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")))
                 }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return Err("bad escape".to_string()),
+                Some(b'{') => self.object(depth + 1),
+                Some(b'"') => self.string().map(Json::Str),
+                Some(_) => self.number(),
+            }
+        }
+
+        fn object(&mut self, depth: usize) -> Result<Json, String> {
+            self.pos += 1; // '{'
+            let mut fields = Vec::new();
+            if self.eat(b'}') {
+                return Ok(Json::Obj(fields));
+            }
+            loop {
+                self.skip_ws();
+                if self.peek() != Some(b'"') {
+                    return Err(self.error("expected object key"));
+                }
+                let key = self.string()?;
+                if !self.eat(b':') {
+                    return Err(self.error("expected :"));
+                }
+                fields.push((key, self.value(depth)?));
+                if self.eat(b'}') {
+                    return Ok(Json::Obj(fields));
+                }
+                if !self.eat(b',') {
+                    return Err(self.error("expected , or }"));
+                }
+            }
+        }
+
+        fn number(&mut self) -> Result<Json, String> {
+            let start = self.pos;
+            while (self.peek())
+                .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+            {
+                self.pos += 1;
+            }
+            let token = &self.text[start..self.pos];
+            if token.parse::<f64>().is_err() {
+                self.pos = start;
+                return Err(self.error("expected a value"));
+            }
+            Ok(Json::Num(token.to_string()))
+        }
+
+        /// A string, undoing exactly the escapes the writer produces.
+        fn string(&mut self) -> Result<String, String> {
+            self.pos += 1; // opening quote
+            let mut out = String::new();
+            loop {
+                let rest = self.text.get(self.pos..).unwrap_or("");
+                let mut chars = rest.chars();
+                match chars.next() {
+                    None => return Err("unterminated string".to_string()),
+                    Some('"') => {
+                        self.pos += 1;
+                        return Ok(out);
                     }
-                    *pos += 1;
+                    Some('\\') => {
+                        let escaped = match chars.next() {
+                            Some(c @ ('"' | '\\')) => c,
+                            Some('n') => '\n',
+                            Some('t') => '\t',
+                            Some('r') => '\r',
+                            Some('u') => {
+                                let code = (rest.get(2..6))
+                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                    .ok_or_else(|| self.error("bad \\u escape"))?;
+                                self.pos += 4;
+                                char::from_u32(code).unwrap_or('\u{fffd}')
+                            }
+                            _ => return Err(self.error("bad escape")),
+                        };
+                        out.push(escaped);
+                        self.pos += 2;
+                    }
+                    Some(c) => {
+                        out.push(c);
+                        self.pos += c.len_utf8();
+                    }
                 }
-                Some(&b) if b < 0x80 => {
-                    out.push(b as char);
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the full scalar.
-                    let rest = std::str::from_utf8(&bytes[*pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // '['
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected , or ] at byte {pos}", pos = *pos)),
-            }
-        }
-    }
-
-    fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // '{'
-        let mut fields = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) != Some(&b'"') {
-                return Err(format!("expected object key at byte {pos}", pos = *pos));
-            }
-            let key = parse_str(bytes, pos)?;
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) != Some(&b':') {
-                return Err(format!("expected : at byte {pos}", pos = *pos));
-            }
-            *pos += 1;
-            fields.push((key, parse_value(bytes, pos)?));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(format!("expected , or }} at byte {pos}", pos = *pos)),
             }
         }
     }
@@ -1306,71 +1045,138 @@ mod json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtn_sim::telemetry::Counters;
+    use proptest::prelude::*;
 
     fn sample_report() -> BenchReport {
         let mut telemetry = Telemetry::default();
         telemetry.counters.contacts = 120;
         telemetry.counters.bytes_moved = 9_876_543;
-        telemetry
-            .phases
-            .add(Phase::ContactProcessing, Duration::from_millis(1500));
-        telemetry
-            .phases
-            .add(Phase::Discovery, Duration::from_millis(600));
-        BenchReport::new(
-            "quick",
-            &ExecConfig::default().jobs(2),
-            27,
-            Duration::from_secs(3),
-            &telemetry,
-            vec!["fig2a".into(), "fig3a".into()],
-        )
+        let phases = &mut telemetry.phases;
+        phases.add(Phase::ContactProcessing, Duration::from_millis(1500));
+        phases.add(Phase::Discovery, Duration::from_millis(600));
+        let cells = [("fig2a".to_string(), 9), ("fig3a".to_string(), 18)];
+        BenchReport::new("quick", &ExecConfig::default().jobs(2), &telemetry)
+            .with_section("sweep", sweep_section(&cells, Duration::from_secs(3)))
+    }
+
+    fn sample_server_report() -> BenchReport {
+        let server = Section::default()
+            .with("records", 500u64)
+            .with("hits", 1_900u64)
+            // Deliberately above 2^53: the hex-string encoding must carry
+            // it exactly where a JSON double could not.
+            .with("result_digest", 0xdead_beef_cafe_f00d_u64)
+            .with("run_secs", 1.6)
+            .with("ops_per_sec", 250.0);
+        sample_report().with_section("server", server)
+    }
+
+    fn sample_city_report() -> BenchReport {
+        let city = Section::default()
+            .with("nodes", 24u64)
+            .with("contacts", 900u64)
+            .with("result_digest", 0xfeed_face_dead_0001_u64)
+            .with("sim_secs", 1.1)
+            .with("contacts_per_sec", 818.0);
+        sample_report().with_section("city", city)
+    }
+
+    fn section_mut<'a>(report: &'a mut BenchReport, name: &str) -> &'a mut Section {
+        let found = report.sections.iter_mut().find(|(n, _)| n == name);
+        &mut found.unwrap().1
+    }
+
+    /// A section's keys minus its timings and rates: what two runs of a
+    /// deterministic bench must agree on.
+    fn exact_keys(name: &str, section: &Section) -> Vec<(String, Value)> {
+        (section.iter())
+            .filter(|(k, _)| matches!(rule(name, k), Rule::Exact | Rule::Digest))
+            .map(|(k, v)| (k.to_string(), v))
+            .collect()
+    }
+
+    fn diff(current: &BenchReport, baseline: &BenchReport) -> Vec<String> {
+        compare(current, baseline, &Tolerance::default())
+    }
+
+    /// Asserts `report` survives JSON and compares clean; returns the parse.
+    fn round_trips_clean(report: &BenchReport) -> BenchReport {
+        let json = report.to_json();
+        let parsed = BenchReport::from_json(&json).unwrap();
+        // Timings are written at µs precision, so a second pass is exact.
+        assert_eq!(parsed.to_json(), json);
+        assert!(diff(&parsed, report).is_empty());
+        parsed
     }
 
     #[test]
     fn report_round_trips_through_json() {
         let report = sample_report();
-        let parsed = BenchReport::from_json(&report.to_json()).unwrap();
-        // Timings round-trip at µs precision; everything else exactly.
-        assert_eq!(parsed.schema, report.schema);
+        let parsed = round_trips_clean(&report);
         assert_eq!(parsed.counters, report.counters);
-        assert_eq!(parsed.cells, report.cells);
-        assert_eq!(parsed.sweeps, report.sweeps);
-        assert!((parsed.wall_secs - report.wall_secs).abs() < 1e-5);
-        for phase in Phase::ALL {
-            let (a, b) = (parsed.phases.get(phase), report.phases.get(phase));
-            assert!(a.abs_diff(b) < Duration::from_micros(2), "{phase:?}");
-        }
+        assert_eq!(parsed.section("sweep").unwrap().int("fig3a"), Some(18));
+        assert_eq!(
+            (parsed.scale.as_str(), parsed.jobs, parsed.replicates),
+            ("quick", 2, 1)
+        );
     }
 
     #[test]
     fn identical_reports_compare_clean() {
         let report = sample_report();
-        assert!(compare(&report, &report, &Tolerance::default()).is_empty());
+        assert!(diff(&report, &report).is_empty());
+    }
+
+    #[test]
+    fn rule_follows_the_key_suffix() {
+        assert_eq!(rule("server", "run_secs"), Rule::Timing);
+        assert_eq!(rule("phases", "discovery"), Rule::Timing);
+        assert_eq!(rule("city", "result_digest"), Rule::Digest);
+        assert_eq!(rule("city", "contacts_per_sec"), Rule::Info);
+        assert_eq!(rule("sweep", "fig2a"), Rule::Exact);
+        for (name, _) in Counters::default().entries() {
+            assert_eq!(rule("counters", name), Rule::Exact, "{name}");
+        }
     }
 
     #[test]
     fn counter_drift_fails_exactly() {
         let baseline = sample_report();
         let mut current = baseline.clone();
-        current.counters.contacts += 1;
-        let errors = compare(&current, &baseline, &Tolerance::default());
+        current.counters.set("contacts", 121u64);
+        let errors = diff(&current, &baseline);
         assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(errors[0].contains("contacts"), "{errors:?}");
+        assert!(errors[0].contains("counters.contacts"), "{errors:?}");
+    }
+
+    #[test]
+    fn a_key_on_one_side_only_is_a_violation() {
+        let baseline = sample_report();
+        let mut current = baseline.clone();
+        current.counters.set("from_the_future", 0u64);
+        let errors = diff(&current, &baseline);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("only the current"), "{errors:?}");
+        let errors = diff(&baseline, &current);
+        assert!(errors[0].contains("only the baseline"), "{errors:?}");
     }
 
     #[test]
     fn small_timing_jitter_passes_large_regression_fails() {
         let baseline = sample_report();
         let mut current = baseline.clone();
-        current.wall_secs = baseline.wall_secs * 1.1; // within 30%
-        assert!(compare(&current, &baseline, &Tolerance::default()).is_empty());
-        current.wall_secs = baseline.wall_secs * 2.0;
-        let errors = compare(&current, &baseline, &Tolerance::default());
+        section_mut(&mut current, "sweep").set("wall_secs", 3.3); // within 30%
+        assert!(diff(&current, &baseline).is_empty());
+        section_mut(&mut current, "sweep").set("wall_secs", 6.0);
+        current.phases.set("contact_processing", 15.0);
+        let errors = diff(&current, &baseline);
+        assert_eq!(errors.len(), 2, "{errors:?}");
         assert!(
-            errors.iter().any(|e| e.contains("wall clock")),
+            errors[0].contains("phases.contact_processing"),
             "{errors:?}"
         );
+        assert!(errors[1].contains("sweep.wall_secs"), "{errors:?}");
     }
 
     #[test]
@@ -1378,8 +1184,8 @@ mod tests {
         let baseline = sample_report();
         let mut current = baseline.clone();
         current.jobs = baseline.jobs + 2;
-        current.wall_secs = baseline.wall_secs * 10.0; // would fail same-jobs
-        assert!(compare(&current, &baseline, &Tolerance::default()).is_empty());
+        section_mut(&mut current, "sweep").set("wall_secs", 30.0); // would fail same-jobs
+        assert!(diff(&current, &baseline).is_empty());
     }
 
     #[test]
@@ -1387,45 +1193,40 @@ mod tests {
         let baseline = sample_report();
         let mut current = baseline.clone();
         current.schema = "mbt-bench-v999".to_string();
-        let errors = compare(&current, &baseline, &Tolerance::default());
+        let errors = diff(&current, &baseline);
         assert_eq!(errors.len(), 1);
         assert!(errors[0].contains("schema"));
+        // A v1 document parses to its schema tag alone and fails the same way.
+        let v1 = BenchReport::from_json(r#"{"schema": "mbt-bench-v1", "cells": 27}"#).unwrap();
+        let errors = diff(&baseline, &v1);
+        assert_eq!(errors.len(), 1);
+        assert!(errors[0].contains("schema mismatch"), "{errors:?}");
     }
 
     #[test]
     fn zero_cell_report_has_zero_rate_not_nan() {
-        let report = BenchReport::new(
-            "empty",
-            &ExecConfig::serial(),
-            0,
-            Duration::ZERO,
-            &Telemetry::default(),
-            Vec::new(),
-        );
-        assert_eq!(report.cells_per_sec, 0.0);
-        assert!(report.cells_per_sec.is_finite());
-        let parsed = BenchReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.cells, 0);
-        assert_eq!(parsed.cells_per_sec, 0.0);
-        assert!(compare(&parsed, &report, &Tolerance::default()).is_empty());
+        let report = BenchReport::new("empty", &ExecConfig::serial(), &Telemetry::default())
+            .with_section("sweep", sweep_section(&[], Duration::ZERO));
+        let rate = report.section("sweep").unwrap().real("cells_per_sec");
+        assert_eq!(rate, Some(0.0));
+        round_trips_clean(&report);
     }
 
     #[test]
     fn parser_ignores_unknown_keys() {
         let text = r#"{
-            "schema": "mbt-bench-v1",
-            "future_field": [1, 2, {"x": true}],
+            "schema": "mbt-bench-v2",
+            "future_field": {"x": 1, "y": "z"},
+            "meta": {"git": "g", "scale": "quick", "jobs": 1, "replicates": 1},
+            "phases": {"discovery": 0.5},
             "counters": {"contacts": 5, "from_the_future": 9},
-            "phases": {"discovery": 0.5, "warp": 1.0},
-            "cells": 3
+            "sections": {}
         }"#;
         let report = BenchReport::from_json(text).unwrap();
-        assert_eq!(report.counters.contacts, 5);
-        assert_eq!(report.cells, 3);
-        assert_eq!(
-            report.phases.get(Phase::Discovery),
-            Duration::from_millis(500)
-        );
+        assert_eq!(report.counters.int("contacts"), Some(5));
+        // Unknown counters are kept: `compare` flags them, the parser does not.
+        assert_eq!(report.counters.int("from_the_future"), Some(9));
+        assert_eq!(report.phases.real("discovery"), Some(0.5));
     }
 
     #[test]
@@ -1435,6 +1236,65 @@ mod tests {
         assert!(BenchReport::from_json("{\"schema\": }").is_err());
         assert!(BenchReport::from_json("[1, 2").is_err());
         assert!(BenchReport::from_json("{} trailing").is_err());
+        let valid = sample_server_report().to_json();
+        for (from, to) in [
+            ("\"discovery\": 0.600000", "\"discovery\": -1.0"),
+            ("\"discovery\": 0.600000", "\"discovery\": 1e999"),
+            ("\"contacts\": 120", "\"contacts\": 1.5"),
+            ("\"contacts\": 120", "\"contacts\": 18446744073709551616"),
+            ("\"0xdeadbeefcafef00d\"", "\"0xnothex\""),
+            ("\"0xdeadbeefcafef00d\"", "17"),
+            ("\"jobs\": 2", "\"jobs\": \"two\""),
+            ("\"meta\"", "\"not_meta\""),
+        ] {
+            assert!(valid.contains(from), "{from}");
+            let bad = valid.replace(from, to);
+            assert!(BenchReport::from_json(&bad).is_err(), "accepted {to}");
+        }
+    }
+
+    #[test]
+    fn hostile_inputs_are_errors_not_panics() {
+        // Once panicked in `Duration::from_secs_f64(inf)`.
+        assert!(BenchReport::from_json(r#"{"phases":{"trace_load":1e999}}"#).is_err());
+        let bad = (sample_report().to_json())
+            .replace("\"trace_load\": 0.000000", "\"trace_load\": 1e999");
+        let err = BenchReport::from_json(&bad).unwrap_err();
+        assert!(err.contains("phases.trace_load"), "{err}");
+        // Once aborted the process with a stack overflow.
+        assert!(BenchReport::from_json(&"[".repeat(1_000_000)).is_err());
+        let err = BenchReport::from_json(&"{\"a\":".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let depth = json::MAX_DEPTH;
+        let nested = format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(json::parse(&nested).is_ok(), "MAX_DEPTH levels are fine");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn from_json_never_panics_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let _ = BenchReport::from_json(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn from_json_never_panics_on_truncated_or_mutated_reports(
+            cut in any::<prop::sample::Index>(),
+            edits in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..6),
+        ) {
+            let valid = sample_city_report().to_json().into_bytes();
+            let truncated = &valid[..cut.index(valid.len())];
+            let _ = BenchReport::from_json(&String::from_utf8_lossy(truncated));
+            let mut mutated = valid.clone();
+            for (at, byte) in &edits {
+                let i = at.index(mutated.len());
+                mutated[i] = *byte;
+            }
+            let _ = BenchReport::from_json(&String::from_utf8_lossy(&mutated));
+        }
     }
 
     #[test]
@@ -1454,76 +1314,47 @@ mod tests {
         }
     }
 
-    fn sample_server_report() -> BenchReport {
-        let mut report = sample_report();
-        report.server = Some(ServerBench {
-            records: 500,
-            shards: 3,
-            ops: 400,
-            publishes: 540,
-            searches: 280,
-            requests: 60,
-            expired: 12,
-            hits: 1_900,
-            // Deliberately above 2^53: the hex-string encoding must carry
-            // it exactly where a JSON double could not.
-            result_digest: 0xdead_beef_cafe_f00d,
-            build_secs: 0.8,
-            run_secs: 1.6,
-            ops_per_sec: 250.0,
-        });
-        report
-    }
-
     #[test]
     fn server_report_round_trips_through_json() {
-        let report = sample_server_report();
-        let parsed = BenchReport::from_json(&report.to_json()).unwrap();
-        let (got, want) = (
-            parsed.server.as_ref().unwrap(),
-            report.server.as_ref().unwrap(),
-        );
-        assert_eq!(
-            got.result_digest, want.result_digest,
-            "u64 digest must survive JSON"
-        );
-        assert_eq!(got.records, want.records);
-        assert_eq!(got.hits, want.hits);
-        assert!((got.run_secs - want.run_secs).abs() < 1e-9);
-        assert!(compare(&parsed, &report, &Tolerance::default()).is_empty());
+        let parsed = round_trips_clean(&sample_server_report());
+        let server = parsed.section("server").unwrap();
+        assert_eq!(server.int("result_digest"), Some(0xdead_beef_cafe_f00d));
+        assert_eq!(server.real("run_secs"), Some(1.6));
     }
 
     #[test]
     fn server_digest_drift_fails_exactly() {
         let baseline = sample_server_report();
         let mut current = baseline.clone();
-        current.server.as_mut().unwrap().result_digest ^= 1;
-        let errors = compare(&current, &baseline, &Tolerance::default());
+        section_mut(&mut current, "server").set("result_digest", 0xdead_beef_cafe_f00c_u64);
+        let errors = diff(&current, &baseline);
         assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(errors[0].contains("digest"), "{errors:?}");
+        assert!(errors[0].contains("0xdeadbeefcafef00c"), "{errors:?}");
     }
 
     #[test]
     fn server_section_presence_must_match_the_baseline() {
         let baseline = sample_server_report();
-        let mut current = baseline.clone();
-        current.server = None;
-        let errors = compare(&current, &baseline, &Tolerance::default());
-        assert!(errors.iter().any(|e| e.contains("presence")), "{errors:?}");
+        let current = sample_report();
+        let errors = diff(&current, &baseline);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("`server` presence"), "{errors:?}");
         // And the other direction.
-        let errors = compare(&baseline, &current, &Tolerance::default());
-        assert!(errors.iter().any(|e| e.contains("presence")), "{errors:?}");
+        let errors = diff(&baseline, &current);
+        assert!(errors[0].contains("only the current"), "{errors:?}");
     }
 
     #[test]
     fn server_timings_thresholded_only_at_equal_jobs() {
         let baseline = sample_server_report();
         let mut current = baseline.clone();
-        current.server.as_mut().unwrap().run_secs *= 10.0;
-        let errors = compare(&current, &baseline, &Tolerance::default());
-        assert!(errors.iter().any(|e| e.contains("run_secs")), "{errors:?}");
+        section_mut(&mut current, "server").set("run_secs", 16.0);
+        section_mut(&mut current, "server").set("ops_per_sec", 1.0);
+        let errors = diff(&current, &baseline);
+        assert_eq!(errors.len(), 1, "rates are informational: {errors:?}");
+        assert!(errors[0].contains("run_secs"), "{errors:?}");
         current.jobs += 1;
-        assert!(compare(&current, &baseline, &Tolerance::default()).is_empty());
+        assert!(diff(&current, &baseline).is_empty());
     }
 
     #[test]
@@ -1532,15 +1363,12 @@ mod tests {
         let a = run_server_bench(&cfg);
         let b = run_server_bench(&cfg);
         // Every deterministic field matches; only wall clock may differ.
-        assert_eq!(a.result_digest, b.result_digest);
-        assert_eq!(
-            (a.publishes, a.searches, a.requests, a.expired, a.hits),
-            (b.publishes, b.searches, b.requests, b.expired, b.hits)
-        );
+        assert_eq!(exact_keys("server", &a), exact_keys("server", &b));
         // The mix actually exercised every branch at this scale.
-        assert!(a.searches > 0 && a.hits > 0, "searches never hit: {a:?}");
-        assert!(a.requests > 0 && a.expired > 0, "no requests/expiry: {a:?}");
-        assert!(a.publishes > cfg.records, "driver never published: {a:?}");
+        let n = |key| a.int(key).unwrap();
+        assert!(n("searches") > 0 && n("hits") > 0, "{a:?}");
+        assert!(n("requests") > 0 && n("expired") > 0, "{a:?}");
+        assert!(n("publishes") > cfg.records, "{a:?}");
     }
 
     #[test]
@@ -1552,12 +1380,9 @@ mod tests {
                 ..tiny_server_config()
             };
             let got = run_server_bench(&cfg);
-            assert_eq!(
-                got.result_digest, base.result_digest,
-                "digest changed with {shards} shards"
-            );
-            assert_eq!(got.hits, base.hits);
-            assert_eq!(got.expired, base.expired);
+            // Every count and the digest; only the shape (`shards`) moves.
+            let (got, want) = (exact_keys("server", &got), exact_keys("server", &base));
+            assert_eq!(got[3..], want[3..], "{shards} shards");
         }
     }
 
@@ -1565,11 +1390,10 @@ mod tests {
     fn server_bench_report_wrapper_is_a_valid_sweepless_report() {
         let report = run_server_bench_report(&tiny_server_config(), &ExecConfig::default().jobs(2));
         assert_eq!(report.scale, "server");
-        assert_eq!(report.cells, 0);
-        assert!(report.sweeps.is_empty());
-        assert!(report.server.is_some());
-        let parsed = BenchReport::from_json(&report.to_json()).unwrap();
-        assert!(compare(&parsed, &report, &Tolerance::default()).is_empty());
+        assert!(report.section("sweep").is_none());
+        let server = round_trips_clean(&report).sections.remove(0);
+        assert_eq!(server.0, "server");
+        assert!(server.1.real("wall_secs").is_some());
     }
 
     /// A shrunken city bench — enough shards that prefetch has real work,
@@ -1590,112 +1414,105 @@ mod tests {
         dir
     }
 
-    fn sample_city_report() -> BenchReport {
-        let mut report = sample_report();
-        report.city = Some(CityBench {
-            nodes: 24,
-            days: 4,
-            routes: 8,
-            seed: 5,
-            prefetch: 1,
-            contacts: 900,
-            shards: 4,
-            shards_loaded: 4,
-            shards_prefetched: 4,
-            peak_resident_contacts: 480,
-            peak_residue_nodes: 17,
-            residue_bytes_est: 4_096,
-            queries: 60,
-            files_delivered: 12,
-            // Above 2^53, like the server digest: must ride as a hex string.
-            result_digest: 0xfeed_face_dead_0001,
-            gen_secs: 0.4,
-            sim_secs: 1.1,
-            contacts_per_sec: 818.0,
-        });
-        report
+    fn tiny_city_run(cfg: &CityBenchConfig, dir: &str) -> (Section, Counters) {
+        let mut telemetry = Telemetry::default();
+        let section = run_city_bench(cfg, &city_dir(dir), &mut telemetry).unwrap();
+        (section, telemetry.counters)
     }
 
     #[test]
     fn city_report_round_trips_through_json() {
-        let report = sample_city_report();
-        let parsed = BenchReport::from_json(&report.to_json()).unwrap();
-        let (got, want) = (parsed.city.as_ref().unwrap(), report.city.as_ref().unwrap());
-        assert_eq!(
-            got.result_digest, want.result_digest,
-            "u64 digest must survive JSON"
-        );
-        assert_eq!(got.nodes, want.nodes);
-        assert_eq!(got.shards_prefetched, want.shards_prefetched);
-        assert_eq!(got.residue_bytes_est, want.residue_bytes_est);
-        assert!((got.sim_secs - want.sim_secs).abs() < 1e-9);
-        assert!(compare(&parsed, &report, &Tolerance::default()).is_empty());
+        let parsed = round_trips_clean(&sample_city_report());
+        let city = parsed.section("city").unwrap();
+        assert_eq!(city.int("result_digest"), Some(0xfeed_face_dead_0001));
+        assert_eq!(city.int("contacts"), Some(900));
     }
 
     #[test]
     fn city_counter_and_digest_drift_fail_exactly() {
         let baseline = sample_city_report();
         let mut current = baseline.clone();
-        current.city.as_mut().unwrap().peak_residue_nodes += 1;
-        current.city.as_mut().unwrap().result_digest ^= 1;
-        let errors = compare(&current, &baseline, &Tolerance::default());
+        current.counters.set("peak_residue_nodes", 1u64);
+        section_mut(&mut current, "city").set("result_digest", 1u64);
+        let errors = diff(&current, &baseline);
         assert_eq!(errors.len(), 2, "{errors:?}");
         assert!(
-            errors.iter().any(|e| e.contains("peak_residue_nodes")),
+            errors[0].contains("counters.peak_residue_nodes"),
             "{errors:?}"
         );
-        assert!(errors.iter().any(|e| e.contains("digest")), "{errors:?}");
+        assert!(errors[1].contains("city.result_digest"), "{errors:?}");
     }
 
     #[test]
     fn city_section_presence_must_match_the_baseline() {
         let baseline = sample_city_report();
-        let mut current = baseline.clone();
-        current.city = None;
-        let errors = compare(&current, &baseline, &Tolerance::default());
-        assert!(errors.iter().any(|e| e.contains("presence")), "{errors:?}");
-        let errors = compare(&baseline, &current, &Tolerance::default());
-        assert!(errors.iter().any(|e| e.contains("presence")), "{errors:?}");
+        let current = sample_server_report();
+        let errors = diff(&current, &baseline);
+        assert_eq!(errors.len(), 2, "{errors:?}");
+        assert!(errors.iter().all(|e| e.contains("presence")), "{errors:?}");
     }
 
     #[test]
     fn city_timings_thresholded_only_at_equal_jobs() {
         let baseline = sample_city_report();
         let mut current = baseline.clone();
-        current.city.as_mut().unwrap().sim_secs *= 10.0;
-        let errors = compare(&current, &baseline, &Tolerance::default());
+        section_mut(&mut current, "city").set("sim_secs", 11.0);
+        let errors = diff(&current, &baseline);
         assert!(errors.iter().any(|e| e.contains("sim_secs")), "{errors:?}");
         current.jobs += 1;
-        assert!(compare(&current, &baseline, &Tolerance::default()).is_empty());
+        assert!(diff(&current, &baseline).is_empty());
     }
 
     #[test]
     fn tiny_city_bench_repeats_bit_identically_at_any_prefetch_depth() {
         let cfg = tiny_city_config();
-        let a = run_city_bench(&cfg, &city_dir("a")).unwrap();
-        let b = run_city_bench(&cfg, &city_dir("b")).unwrap();
-        assert_eq!(a.result_digest, b.result_digest);
-        assert_eq!(
-            (a.contacts, a.shards, a.queries, a.files_delivered),
-            (b.contacts, b.shards, b.queries, b.files_delivered)
-        );
-        assert_eq!(a.peak_residue_nodes, b.peak_residue_nodes);
-        assert_eq!(a.residue_bytes_est, b.residue_bytes_est);
+        let (a, a_counters) = tiny_city_run(&cfg, "a");
+        let (b, b_counters) = tiny_city_run(&cfg, "b");
+        assert_eq!(exact_keys("city", &a), exact_keys("city", &b));
+        assert_eq!(a_counters, b_counters);
         // Prefetch depth never changes the simulation, only the shard
         // counters that describe the replay itself.
-        let serial =
-            run_city_bench(&CityBenchConfig { prefetch: 0, ..cfg }, &city_dir("serial")).unwrap();
-        assert_eq!(serial.result_digest, a.result_digest);
-        assert_eq!(serial.queries, a.queries);
-        assert_eq!(
-            serial.shards_prefetched, 0,
-            "serial replay prefetches nothing"
-        );
-        assert!(a.shards_prefetched >= a.shards_loaded);
+        let (serial, serial_counters) =
+            tiny_city_run(&CityBenchConfig { prefetch: 0, ..cfg }, "serial");
+        for key in ["result_digest", "queries", "files_delivered"] {
+            assert_eq!(serial.int(key), a.int(key), "{key}");
+        }
+        assert_eq!(serial_counters.shards_prefetched, 0, "serial: no prefetch");
+        assert!(a_counters.shards_prefetched >= a_counters.shards_loaded);
         // Single-decode replay: the manifest supplies the pre-sim stats, so
         // the one simulation pass is the only decode.
-        assert_eq!(a.shards_loaded, a.shards, "one decode per shard");
-        assert!(a.contacts > 0 && a.shards > 1, "{a:?}");
+        let shards = a.int("shards").unwrap();
+        assert_eq!(a_counters.shards_loaded, shards, "one decode per shard");
+        assert!(a.int("contacts").unwrap() > 0 && shards > 1, "{a:?}");
+    }
+
+    #[test]
+    fn city_bench_agrees_with_mbt_simulate_params() {
+        // `mbt simulate --files-per-day 10 --ttl 2 --internet 0.001` over
+        // the same shards, built the way the CLI builds it.
+        let cfg = tiny_city_config();
+        let dir = city_dir("vs-simulate");
+        let mut bench_telemetry = Telemetry::default();
+        let bench = run_city_bench(&cfg, &dir, &mut bench_telemetry).unwrap();
+        let sharded = dtn_trace::ShardedTrace::open(&dir).unwrap();
+        let params = SimParams::builder()
+            .internet_fraction(0.001)
+            .files_per_day(10)
+            .ttl_days(2)
+            .days(cfg.days)
+            .seed(cfg.seed)
+            .frequent_window(SimDuration::from_days(1))
+            .faults(dtn_sim::FaultPlan::none().seed(cfg.seed))
+            .fakes_per_day(4)
+            .prefetch(cfg.prefetch)
+            .build();
+        let mut telemetry = Telemetry::default();
+        let result = run_simulation(&sharded, &params, Some(&mut telemetry));
+        assert_eq!(telemetry.counters, bench_telemetry.counters);
+        let digest = city_result_digest(&result);
+        assert_eq!(bench.int("result_digest"), Some(digest));
+        assert_eq!(bench.int("queries"), Some(result.queries));
+        assert_eq!(bench.int("files_delivered"), Some(result.files_delivered));
     }
 
     #[test]
@@ -1707,19 +1524,20 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.scale, "city");
-        assert!(report.sweeps.is_empty());
-        assert!(report.city.is_some());
-        assert!(report.counters.contacts > 0);
-        let parsed = BenchReport::from_json(&report.to_json()).unwrap();
-        assert!(compare(&parsed, &report, &Tolerance::default()).is_empty());
+        assert!(report.section("sweep").is_none());
+        assert!(report.section("city").is_some());
+        // The whole replay telemetry rides along, not a hand-copied subset.
+        let sim_only = ["hello_exchanges", "index_lookups", "nodes_instantiated"];
+        assert!(sim_only.iter().all(|k| report.counters.int(k).unwrap() > 0));
+        round_trips_clean(&report);
     }
 
     #[test]
     fn city_bench_overwrites_a_reused_directory_deterministically() {
         let dir = city_dir("reused");
-        let first = run_city_bench(&tiny_city_config(), &dir).unwrap();
-        let second = run_city_bench(&tiny_city_config(), &dir).unwrap();
-        assert_eq!(first.result_digest, second.result_digest);
-        assert_eq!(first.contacts, second.contacts);
+        let mut telemetry = Telemetry::default();
+        let first = run_city_bench(&tiny_city_config(), &dir, &mut telemetry).unwrap();
+        let second = run_city_bench(&tiny_city_config(), &dir, &mut telemetry).unwrap();
+        assert_eq!(exact_keys("city", &first), exact_keys("city", &second));
     }
 }

@@ -2,7 +2,9 @@
 //! round-trip, the baseline comparison, and the committed
 //! `tests/fixtures/bench_baseline.json` fixture itself.
 //!
-//! To refresh the baselines after an *intentional* behaviour change:
+//! Both fixtures use the flat `mbt-bench-v2` layout (see
+//! `mbt_experiments::perf`). To refresh them after an *intentional*
+//! behaviour change:
 //!
 //! ```text
 //! cargo build --release -p mbt-cli
@@ -13,14 +15,17 @@
 //!     --baseline tests/fixtures/server_bench_baseline.json
 //! ```
 //!
-//! and commit the rewritten fixture(s) alongside the change.
+//! and commit the rewritten fixture(s) alongside the change. The rewrite
+//! replaces the timings too, which moves the thresholds CI applies to them.
+//! A report with a new counter or section fails against an old baseline
+//! (a key on one side only is a violation) until the baseline is refreshed.
 
 use std::time::Duration;
 
 use dtn_sim::telemetry::Telemetry;
 use mbt_experiments::perf::{
-    compare, figure_cells, run_bench, run_server_bench_report, BenchReport, ServerBenchConfig,
-    BENCH_SCHEMA,
+    compare, figure_cells, run_bench, run_server_bench_report, sweep_section, BenchReport,
+    ServerBenchConfig, Value, BENCH_SCHEMA,
 };
 use mbt_experiments::{ExecConfig, Scale, Tolerance};
 
@@ -37,9 +42,11 @@ fn quick_bench() -> BenchReport {
 fn bench_report_round_trips_and_compares_clean_against_itself() {
     let report = quick_bench();
     assert_eq!(report.schema, BENCH_SCHEMA);
-    assert_eq!(report.sweeps, ["fig2a", "fig3a", "fault_sweep"]);
-    assert!(report.cells > 0);
-    assert!(report.cells_per_sec.is_finite());
+    let sweep = report.section("sweep").expect("sweep section");
+    let keys: Vec<&str> = sweep.iter().map(|(k, _)| k).collect();
+    let want = "fig2a fig3a fault_sweep wall_secs cells_per_sec";
+    assert_eq!(keys.join(" "), want, "cells per sweep, in execution order");
+    assert!(sweep.real("cells_per_sec").unwrap().is_finite());
     let parsed = BenchReport::from_json(&report.to_json()).unwrap();
     assert!(
         compare(&parsed, &report, &Tolerance::default()).is_empty(),
@@ -60,7 +67,7 @@ fn committed_baseline_matches_current_behaviour() {
 
     let mut fresh = quick_bench();
     // Force the timing comparisons to be skipped: only the deterministic
-    // fields (counters, cells, replicates, sweeps) remain.
+    // keys (counters, cells per sweep, replicates) remain.
     fresh.jobs = baseline.jobs + 1;
     let errors = compare(&fresh, &baseline, &Tolerance::default());
     assert!(
@@ -76,16 +83,11 @@ fn zero_cell_report_stays_finite_and_comparable() {
     // Empty-sweep guard: a report over zero cells must carry zeroed rates
     // (never NaN or a div-by-zero panic) and still survive the JSON
     // round-trip and baseline comparison.
-    let empty = BenchReport::new(
-        "empty",
-        &ExecConfig::serial(),
-        0,
-        Duration::ZERO,
-        &Telemetry::default(),
-        Vec::new(),
-    );
-    assert_eq!(empty.cells_per_sec, 0.0);
-    assert!(empty.counters.is_zero());
+    let empty = BenchReport::new("empty", &ExecConfig::serial(), &Telemetry::default())
+        .with_section("sweep", sweep_section(&[], Duration::ZERO));
+    let sweep = empty.section("sweep").unwrap();
+    assert_eq!(sweep.real("cells_per_sec"), Some(0.0));
+    assert!(empty.counters.iter().all(|(_, v)| v == Value::Int(0)));
     let parsed = BenchReport::from_json(&empty.to_json()).unwrap();
     assert!(compare(&parsed, &empty, &Tolerance::default()).is_empty());
 }
@@ -103,15 +105,15 @@ fn server_bench_report_round_trips_and_compares_clean() {
     };
     let report = run_server_bench_report(&cfg, &ExecConfig::default().jobs(2));
     assert_eq!(report.scale, "server");
-    assert_eq!(report.cells, 0);
-    assert!(report.sweeps.is_empty());
-    let sb = report.server.as_ref().expect("server section");
-    assert_eq!((sb.records, sb.shards, sb.ops), (800, 4, 600));
-    assert!(sb.searches > 0 && sb.hits > 0 && sb.result_digest != 0);
+    assert!(report.section("sweep").is_none());
+    let server = report.section("server").expect("server section");
+    let n = |key| server.int(key).unwrap();
+    assert_eq!((n("records"), n("shards"), n("ops")), (800, 4, 600));
+    assert!(n("searches") > 0 && n("hits") > 0 && n("result_digest") != 0);
     let parsed = BenchReport::from_json(&report.to_json()).unwrap();
     assert_eq!(
-        parsed.server.as_ref().unwrap().result_digest,
-        sb.result_digest,
+        parsed.section("server").unwrap().int("result_digest"),
+        Some(n("result_digest")),
         "the u64 digest must survive the JSON round-trip exactly"
     );
     assert!(compare(&parsed, &report, &Tolerance::default()).is_empty());
@@ -130,13 +132,17 @@ fn committed_server_baseline_has_the_default_shape() {
     let baseline = BenchReport::from_json(&text).unwrap();
     assert_eq!(baseline.schema, BENCH_SCHEMA);
     assert_eq!(baseline.scale, "server");
-    let sb = baseline.server.as_ref().expect("server section");
+    let server = baseline.section("server").expect("server section");
+    let n = |key| server.int(key).unwrap();
     let defaults = ServerBenchConfig::default();
-    assert_eq!(sb.records, defaults.records);
-    assert_eq!(sb.ops, defaults.ops);
-    assert_eq!(sb.shards, defaults.shards as u64);
-    assert!(sb.result_digest != 0);
-    assert!(sb.searches > 0 && sb.hits > 0 && sb.expired > 0);
+    assert_eq!(n("records"), defaults.records);
+    assert_eq!(n("ops"), defaults.ops);
+    assert_eq!(n("shards"), defaults.shards as u64);
+    assert!(n("result_digest") != 0);
+    assert!(n("searches") > 0 && n("hits") > 0 && n("expired") > 0);
+    // The server bench runs no simulation: every counter is present and 0.
+    let zero = BenchReport::new("server", &ExecConfig::serial(), &Telemetry::default());
+    assert_eq!(baseline.counters, zero.counters);
 }
 
 #[test]
